@@ -55,9 +55,6 @@ printUsage(std::FILE *to)
         "  --trace-len N    instructions per trace\n"
         "  --seed N         workload generation seed\n"
         "  --jobs N         parallel harness concurrency\n"
-        "  --contest-jobs N worker threads inside each contested\n"
-        "                   run (bit-identical to 1; threads beyond\n"
-        "                   the --jobs budget run inline)\n"
         "  --timing         per-simulation timeline report\n"
         "  --sequential     disable the pipelined scheduler\n"
         "\n"
@@ -89,7 +86,6 @@ int
 main(int argc, char **argv)
 {
     applyJobsFlag(&argc, argv);
-    applyContestJobsFlag(&argc, argv);
 
     bool run_all = false;
     bool list_only = false;

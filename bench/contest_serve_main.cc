@@ -59,8 +59,6 @@ printUsage(std::FILE *to)
         "                      ephemeral port, printed at startup)\n"
         "  --jobs N            simulation workers (default\n"
         "                      CONTEST_JOBS / hardware concurrency)\n"
-        "  --contest-jobs N    worker threads inside each contested\n"
-        "                      run\n"
         "  --trace-len N       instructions per trace\n"
         "  --seed N            workload generation seed\n"
         "  --cache-dir DIR     persistent result cache\n"
@@ -91,7 +89,6 @@ int
 main(int argc, char **argv)
 {
     applyJobsFlag(&argc, argv);
-    applyContestJobsFlag(&argc, argv);
 
     ServeOptions opts;
     std::string value;

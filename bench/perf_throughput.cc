@@ -89,87 +89,33 @@ runThroughput(ExperimentContext &ctx)
 
     // One contested pair: the sync points (GRB polling, store
     // queue, frontier tracking) bound how much skipping can help.
-    // Run it once sequentially and once sharded across worker
-    // threads (results are bit-identical; only the wall clock may
-    // move) so CI tracks the windowed path's speedup too.
-    double contest_seq_sec = 0.0;
-    for (unsigned jobs : {1u, 2u, 4u}) {
-        ContestSystem sys({coreConfigByName("gcc"),
-                           coreConfigByName("twolf")},
-                          trace);
-        auto span_start = SimTimeline::now();
-        auto start = Clock::now();
-        ContestResult r = sys.run(jobs);
-        double sec = elapsedSec(start);
-        const std::string label = "gcc+twolf contest, "
-            + std::to_string(jobs) + (jobs == 1 ? " lane" : " lanes");
-        if (tl != nullptr)
-            tl->record(SimTimeline::Kind::Contest,
-                       bench + "@gcc+twolf/j"
-                           + std::to_string(jobs),
-                       span_start, span_start, SimTimeline::now(),
-                       false);
-        double ticks = 0.0;
-        std::uint64_t retired = 0;
-        std::uint64_t skipped = 0;
-        for (CoreId c = 0; c < 2; ++c) {
-            ticks += static_cast<double>(r.coreStats[c].cycles);
-            retired += r.coreStats[c].retired;
-            skipped += sys.core(c).idleSkipped().count();
-        }
-        double mticks_s = sec > 0.0 ? ticks / sec / 1e6 : 0.0;
-        double instr_s = sec > 0.0
-            ? static_cast<double>(retired) / sec
-            : 0.0;
-        double skip_frac =
-            ticks > 0.0 ? static_cast<double>(skipped) / ticks : 0.0;
-        t.row({cellText(label), cellNum(sec, 3),
-               cellNum(mticks_s), cellNum(instr_s),
-               cellPct(skip_frac)});
-        if (jobs == 1) {
-            // Only the sequential contest joins the mean: the lane
-            // sweep is an A/B measurement, not more coverage.
-            total_mticks += mticks_s;
-            ++measured;
-            contest_seq_sec = sec;
-        } else if (jobs == 2) {
-            art.scalar("contest_speedup_2_lanes",
-                       sec > 0.0 ? contest_seq_sec / sec : 0.0);
-        } else {
-            art.scalar("contest_speedup_4_lanes",
-                       sec > 0.0 ? contest_seq_sec / sec : 0.0);
-        }
-        if (jobs > 1) {
-            const WindowStats &w = sys.windowStats();
-            if (tl != nullptr && w.active())
-                tl->recordWindowStats(bench + "@gcc+twolf/j"
-                                          + std::to_string(jobs),
-                                      w);
-            if (jobs == 4 && w.active()) {
-                // Commit the 4-lane run's overhead split as scalars
-                // so BENCH_history tracks the window schedule, not
-                // just the end-to-end speedup.
-                art.scalar("win4_windows",
-                           static_cast<double>(w.windows));
-                art.scalar("win4_window_ticks",
-                           static_cast<double>(w.windowTicks));
-                art.scalar("win4_mean_window_ticks",
-                           w.meanWindowTicks());
-                art.scalar("win4_seq_steps",
-                           static_cast<double>(w.seqSteps));
-                art.scalar("win4_burst_steps",
-                           static_cast<double>(w.burstSteps));
-                art.scalar("win4_degenerate_fallbacks",
-                           static_cast<double>(w.degenerateFallbacks));
-                art.scalar("win4_final_cap_ticks",
-                           static_cast<double>(w.finalCapTicks));
-                art.scalar("win4_oracle_sec", w.oracleSec);
-                art.scalar("win4_horizon_sec", w.horizonSec);
-                art.scalar("win4_lane_sec", w.laneSec);
-                art.scalar("win4_commit_sec", w.commitSec);
-            }
-        }
+    ContestSystem sys({coreConfigByName("gcc"),
+                       coreConfigByName("twolf")},
+                      trace);
+    auto span_start = SimTimeline::now();
+    auto start = Clock::now();
+    ContestResult r = sys.run();
+    double sec = elapsedSec(start);
+    if (tl != nullptr)
+        tl->record(SimTimeline::Kind::Contest, bench + "@gcc+twolf",
+                   span_start, span_start, SimTimeline::now(), false);
+    double ticks = 0.0;
+    std::uint64_t retired = 0;
+    std::uint64_t skipped = 0;
+    for (CoreId c = 0; c < 2; ++c) {
+        ticks += static_cast<double>(r.coreStats[c].cycles);
+        retired += r.coreStats[c].retired;
+        skipped += sys.core(c).idleSkipped().count();
     }
+    double mticks_s = sec > 0.0 ? ticks / sec / 1e6 : 0.0;
+    double instr_s =
+        sec > 0.0 ? static_cast<double>(retired) / sec : 0.0;
+    double skip_frac =
+        ticks > 0.0 ? static_cast<double>(skipped) / ticks : 0.0;
+    t.row({cellText("gcc+twolf contest"), cellNum(sec, 3),
+           cellNum(mticks_s), cellNum(instr_s), cellPct(skip_frac)});
+    total_mticks += mticks_s;
+    ++measured;
 
     art.scalar("mean_mticks_per_s",
                total_mticks / static_cast<double>(measured));

@@ -71,9 +71,9 @@ class SatCounter2
 
 /**
  * A table of 2-bit saturating counters packed 32 per uint64 word
- * (DESIGN.md §13): a default 8K-entry PHT is 2 KiB instead of 8 KiB,
+ * (DESIGN.md §12): a default 8K-entry PHT is 2 KiB instead of 8 KiB,
  * so the tournament predictor's three tables and the choice table
- * stay L1-resident per lane. Semantically identical to a
+ * stay L1-resident per core. Semantically identical to a
  * vector<SatCounter2> indexed the same way.
  */
 class PackedSatCounters

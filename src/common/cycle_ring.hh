@@ -1,7 +1,7 @@
 /**
  * @file
  * Cycle-indexed event ring (timing wheel) for the core's per-tick
- * event queues (DESIGN.md §13).
+ * event queues (DESIGN.md §12).
  *
  * The out-of-order core schedules every instruction's completion,
  * every load/MSHR release and every operand-arrival wakeup as a
@@ -119,9 +119,7 @@ class CycleRing
                 poolVal[static_cast<std::size_t>(idx)] = v;
             } else {
                 idx = static_cast<std::int32_t>(poolVal.size());
-                // contest-lint: allow(window-phase)
                 poolVal.push_back(v);
-                // contest-lint: allow(window-phase)
                 poolNext.push_back(-1);
             }
             poolNext[static_cast<std::size_t>(idx)] = -1;
@@ -217,9 +215,6 @@ class CycleRing
                     poolNext[u] = freeHead;
                     freeHead = i;
                     --ringCount;
-                    // Generic callback: every in-tree handler is a
-                    // lambda the engine analyzes at its definition.
-                    // contest-lint: allow(unknown-call)
                     fn(v);
                     i = nx;
                 }
@@ -255,7 +250,6 @@ class CycleRing
         while (!overflow.empty() && overflow.top().first <= cur) {
             T v = overflow.top().second;
             overflow.pop();
-            // contest-lint: allow(unknown-call)
             fn(v);
             delivered = true;
         }

@@ -91,17 +91,6 @@ defaultJobs()
     return static_cast<unsigned>(jobs);
 }
 
-unsigned
-contestJobs()
-{
-    std::uint64_t jobs = envU64("CONTEST_CONTEST_JOBS", 1);
-    if (jobs < 1)
-        jobs = 1;
-    if (jobs > 256)
-        jobs = 256;
-    return static_cast<unsigned>(jobs);
-}
-
 /** Strip `--<flag> V` / `--<flag>=V` from argv into @p env_name. */
 static void
 stripValueFlag(int *argc, char **argv, const char *flag,
@@ -130,13 +119,6 @@ void
 applyJobsFlag(int *argc, char **argv)
 {
     stripValueFlag(argc, argv, "--jobs", "CONTEST_JOBS");
-}
-
-void
-applyContestJobsFlag(int *argc, char **argv)
-{
-    stripValueFlag(argc, argv, "--contest-jobs",
-                   "CONTEST_CONTEST_JOBS");
 }
 
 } // namespace contest

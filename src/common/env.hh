@@ -17,12 +17,6 @@
  *                     cycle-by-cycle. The reference mode for
  *                     debugging the event-driven scheduler; results
  *                     are bit-identical either way.
- * CONTEST_CONTEST_JOBS — worker threads *inside* one contested
- *                     simulation (windowed time-synchronous
- *                     execution). 1 (the default) runs the
- *                     sequential event loop, which is the validation
- *                     oracle; results are bit-identical for every
- *                     value.
  *
  * All integer knobs parse strictly: a malformed value (trailing
  * garbage, negative, overflow) warns and falls back to the default.
@@ -66,24 +60,12 @@ bool simNoSkip();
 unsigned defaultJobs();
 
 /**
- * Concurrency inside one contested simulation
- * (CONTEST_CONTEST_JOBS). Read at every run so tests can toggle the
- * mode with setenv between otherwise identical runs. Always at
- * least 1; 1 means the sequential oracle loop.
- */
-unsigned contestJobs();
-
-/**
  * Strip a leading-anywhere `--jobs N` / `--jobs=N` from argv (before
  * any other flag parsing) and export it as CONTEST_JOBS so every
  * layer — including the process-wide thread pool — sees the same
  * setting. Call before the pool's first use.
  */
 void applyJobsFlag(int *argc, char **argv);
-
-/** Strip `--contest-jobs N` / `--contest-jobs=N` from argv and
- *  export it as CONTEST_CONTEST_JOBS. */
-void applyContestJobsFlag(int *argc, char **argv);
 
 } // namespace contest
 

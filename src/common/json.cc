@@ -84,8 +84,6 @@ JsonValue::elements() const
     return arr;
 }
 
-// contest-lint: window-safe (artifact serialization runs after the
-// simulation; call-graph reached only via the push name collision)
 void
 JsonValue::push(JsonValue v)
 {

@@ -48,8 +48,7 @@ class MinHeap
     push(const T &x)
     {
         // The backing vector is reserve()d once at construction by
-        // every core hot-path owner, so this never reallocates
-        // mid-window. contest-lint: allow(window-phase)
+        // every core hot-path owner, so this never reallocates.
         v.push_back(x);
         siftUp(v.size() - 1);
     }

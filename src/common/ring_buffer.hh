@@ -38,7 +38,7 @@ class RingBuffer
     {
         fatal_if(cap == 0, "RingBuffer capacity must be positive");
         // Capacity is fixed at construction; a later reset() to the
-        // same cap reuses the storage. contest-lint: allow(window-phase)
+        // same cap reuses the storage.
         buf.assign(cap, T{});
         head = 0;
         count = 0;

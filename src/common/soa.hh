@@ -1,7 +1,7 @@
 /**
  * @file
  * Structure-of-arrays building blocks for the hot simulation loops
- * (DESIGN.md §13): a cacheline-aligned vector, uint64 bit-mask word
+ * (DESIGN.md §12): a cacheline-aligned vector, uint64 bit-mask word
  * helpers with find-first-set scanning, and power-of-two rounding for
  * ring geometries.
  *
@@ -139,9 +139,6 @@ scanBits(const SoaVec<std::uint64_t> &w, std::size_t begin,
         while (word) {
             const int b = std::countr_zero(word);
             word &= word - 1;
-            // Generic visitor: callers pass lambdas the engine
-            // analyzes at their definition sites.
-            // contest-lint: allow(unknown-call)
             if (!fn(base + static_cast<std::size_t>(b)))
                 return false;
         }

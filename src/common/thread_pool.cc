@@ -168,151 +168,4 @@ ThreadPool::global()
     return pool;
 }
 
-namespace
-{
-
-/** Contest worker threads currently leased across the process. */
-std::atomic<unsigned> contestWorkersOut{0};
-
-} // namespace
-
-unsigned
-acquireContestWorkers(unsigned want)
-{
-    const unsigned jobs = defaultJobs();
-    const unsigned budget = jobs > 1 ? jobs - 1 : 0;
-    if (want == 0 || budget == 0)
-        return 0;
-    unsigned out = contestWorkersOut.load(std::memory_order_relaxed);
-    for (;;) {
-        if (out >= budget)
-            return 0;
-        unsigned grant = std::min(want, budget - out);
-        if (contestWorkersOut.compare_exchange_weak(
-                out, out + grant, std::memory_order_relaxed))
-            return grant;
-    }
-}
-
-void
-releaseContestWorkers(unsigned granted)
-{
-    if (granted > 0)
-        contestWorkersOut.fetch_sub(granted,
-                                    std::memory_order_relaxed);
-}
-
-ContestWorkerGroup::ContestWorkerGroup(unsigned workers)
-{
-    threads.reserve(workers);
-    for (unsigned i = 0; i < workers; ++i)
-        threads.emplace_back([this] { workerLoop(); });
-}
-
-ContestWorkerGroup::~ContestWorkerGroup()
-{
-    stopping.store(true, std::memory_order_relaxed);
-    epoch.fetch_add(1, std::memory_order_release);
-    if (sleepers.load(std::memory_order_relaxed) > 0) {
-        std::lock_guard<std::mutex> lock(mu);
-        cv.notify_all();
-    }
-    for (auto &t : threads)
-        t.join();
-}
-
-void
-ContestWorkerGroup::drainLanes(std::uint64_t my_epoch)
-{
-    const std::uint64_t lane_mask = (std::uint64_t{1} << laneBits) - 1;
-    for (;;) {
-        std::uint64_t claim =
-            laneClaim.load(std::memory_order_relaxed);
-        for (;;) {
-            // A claim word from another epoch means this thread is a
-            // straggler (or woke early): back out without touching
-            // the new window's lanes or its task function.
-            if ((claim >> laneBits) != my_epoch)
-                return;
-            if ((claim & lane_mask) >= taskN)
-                return;
-            if (laneClaim.compare_exchange_weak(
-                    claim, claim + 1, std::memory_order_relaxed))
-                break;
-        }
-        taskFn(claim & lane_mask);
-        lanesDone.fetch_add(1, std::memory_order_release);
-    }
-}
-
-void
-ContestWorkerGroup::workerLoop()
-{
-    std::uint64_t seen = 0;
-    for (;;) {
-        // Spin for a new window; a window usually opens again within
-        // a few microseconds of the last commit. Fall back to a
-        // condition-variable sleep when the owner goes quiet (long
-        // sequential stretches between windows).
-        unsigned spins = 0;
-        while (epoch.load(std::memory_order_acquire) == seen) {
-            if (++spins < 4096) {
-                std::this_thread::yield();
-                continue;
-            }
-            std::unique_lock<std::mutex> lock(mu);
-            sleepers.fetch_add(1, std::memory_order_relaxed);
-            cv.wait(lock, [&] {
-                return epoch.load(std::memory_order_acquire) != seen;
-            });
-            sleepers.fetch_sub(1, std::memory_order_relaxed);
-        }
-        seen = epoch.load(std::memory_order_acquire);
-        if (stopping.load(std::memory_order_relaxed))
-            return;
-        drainLanes(seen);
-    }
-}
-
-void
-ContestWorkerGroup::run(std::size_t n, LaneFn fn)
-{
-    if (n == 0)
-        return;
-    if (threads.empty() || n == 1) {
-        for (std::size_t i = 0; i < n; ++i)
-            fn(i);
-        return;
-    }
-
-    const std::uint64_t e =
-        epoch.load(std::memory_order_relaxed) + 1;
-    taskN = n;
-    taskFn = fn;
-    lanesDone.store(0, std::memory_order_relaxed);
-    // Lane 0 is pre-claimed for the owner: the claim word starts at
-    // 1, so workers never touch it and the owner runs it without any
-    // CAS traffic.
-    laneClaim.store((e << laneBits) | 1, std::memory_order_relaxed);
-    epoch.store(e, std::memory_order_release);
-    if (sleepers.load(std::memory_order_relaxed) > 0) {
-        std::lock_guard<std::mutex> lock(mu);
-        cv.notify_all();
-    }
-
-    // The owner runs its reserved lane, drains leftovers, then waits
-    // for stragglers; the acquire pairs with each worker lane's
-    // release increment so the cores' window-local state is visible
-    // before the boundary commit. Only the n-1 worker-claimable lanes
-    // count toward lanesDone — lane 0 finished on this thread. Spin
-    // hot briefly before yielding: lanes are a few microseconds long,
-    // and a premature yield can stall the commit a full timeslice.
-    fn(0);
-    drainLanes(e);
-    unsigned spins = 0;
-    while (lanesDone.load(std::memory_order_acquire) < n - 1)
-        if (++spins >= 256)
-            std::this_thread::yield();
-}
-
 } // namespace contest

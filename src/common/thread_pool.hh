@@ -19,7 +19,6 @@
 #ifndef CONTEST_COMMON_THREAD_POOL_HH
 #define CONTEST_COMMON_THREAD_POOL_HH
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -27,45 +26,10 @@
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 namespace contest
 {
-
-/**
- * Non-owning reference to a callable invoked as fn(lane). Two words,
- * trivially copyable, and never allocates — unlike std::function,
- * whose construction heap-allocates once the captures outgrow the
- * small-object buffer. The referent must outlive every call; the
- * windowed contest loop passes a stack lambda that lives for the
- * duration of the dispatch, which is exactly that contract.
- */
-class LaneFn
-{
-  public:
-    LaneFn() = default;
-
-    template <typename F,
-              typename = std::enable_if_t<
-                  !std::is_same_v<std::decay_t<F>, LaneFn>>>
-    LaneFn(F &&f)
-        : obj(const_cast<void *>(
-              static_cast<const void *>(std::addressof(f)))),
-          call([](void *o, std::size_t i) {
-              (*static_cast<std::remove_reference_t<F> *>(o))(i);
-          })
-    {
-    }
-
-    void operator()(std::size_t i) const { call(obj, i); }
-
-    explicit operator bool() const { return call != nullptr; }
-
-  private:
-    void *obj = nullptr;
-    void (*call)(void *, std::size_t) = nullptr;
-};
 
 /** Fixed-size pool executing indexed batches of independent tasks. */
 class ThreadPool
@@ -133,95 +97,6 @@ class ThreadPool
     /** Batches with unclaimed indices, oldest first. */
     std::deque<std::shared_ptr<Batch>> pending;
     bool stopping = false;
-    std::vector<std::thread> threads;
-};
-
-/**
- * @name Contest worker budget
- *
- * Intra-simulation workers (CONTEST_CONTEST_JOBS) and suite-level
- * sweeps (CONTEST_JOBS) share one machine, so the extra threads a
- * contested run may spawn are leased from a process-wide budget of
- * defaultJobs() - 1. With `--jobs J --contest-jobs C` the process
- * therefore runs at most J + (J - 1) threads, however many contests
- * are in flight — a run that finds the budget exhausted simply
- * executes its windows on the calling thread, bit-identically.
- */
-/** @{ */
-
-/** Lease up to @p want contest worker threads; returns the granted
- *  count (possibly 0). Pair with releaseContestWorkers(). */
-unsigned acquireContestWorkers(unsigned want);
-
-/** Return @p granted threads to the contest worker budget. */
-void releaseContestWorkers(unsigned granted);
-
-/** @} */
-
-/**
- * A group of spinning workers for the windowed parallel contest
- * path. Unlike ThreadPool — whose condition-variable handoff costs
- * microseconds, fine for whole experiments — a contested run opens
- * and closes a window every few hundred simulated ticks, so the
- * handoff must be tens of nanoseconds: workers spin on an epoch
- * counter (yielding, then sleeping on a condition variable if no
- * window opens for a while).
- *
- * The owner calls run(n, fn): fn(0..n-1) executes across the workers
- * and the calling thread, and run() returns when all lanes finished.
- * The caller always executes lane 0 inline (no claim traffic, and it
- * never just barrier-waits while holding runnable work); workers
- * claim the remaining lanes from an atomic counter. Every lane
- * writes only its own core's state, so results are independent of
- * which thread runs which lane. The whole dispatch is a single
- * release (the epoch publish) / acquire (the lanes-done spin) pair
- * per window and performs no heap allocation — fn is a non-owning
- * LaneFn, not a std::function.
- */
-class ContestWorkerGroup
-{
-  public:
-    /** @param workers dedicated threads to spawn (0 is valid: run()
-     *        then executes every lane inline on the caller). */
-    explicit ContestWorkerGroup(unsigned workers);
-    ~ContestWorkerGroup();
-
-    ContestWorkerGroup(const ContestWorkerGroup &) = delete;
-    ContestWorkerGroup &operator=(const ContestWorkerGroup &) = delete;
-
-    /** Dedicated worker threads in the group. */
-    unsigned workers() const
-    {
-        return static_cast<unsigned>(threads.size());
-    }
-
-    /** Run fn(0) .. fn(n-1) across the group and the calling thread;
-     *  returns when every lane has completed. fn must not throw and
-     *  must outlive the call (it is not copied). */
-    void run(std::size_t n, LaneFn fn);
-
-  private:
-    /** Lane-claim word layout: epoch in the high bits, next
-     *  unclaimed lane in the low laneBits. Tagging claims with the
-     *  epoch keeps a straggler that noticed a window late from
-     *  claiming (and corrupting) the next window's lanes. */
-    static constexpr unsigned laneBits = 24;
-
-    void workerLoop();
-    void drainLanes(std::uint64_t my_epoch);
-
-    /** Bumped (release) by run() to publish a new window; workers
-     *  acquire it to see taskFn/taskN. */
-    std::atomic<std::uint64_t> epoch{0};
-    std::atomic<std::uint64_t> laneClaim{0};
-    std::atomic<std::size_t> lanesDone{0};
-    std::atomic<bool> stopping{false};
-    /** Set while any worker sleeps on cv (spin timed out). */
-    std::atomic<unsigned> sleepers{0};
-    std::size_t taskN = 0;
-    LaneFn taskFn;
-    std::mutex mu;
-    std::condition_variable cv;
     std::vector<std::thread> threads;
 };
 

@@ -375,17 +375,4 @@ struct std::hash<contest::Strong<Tag, T>>
     }
 };
 
-/**
- * Marks a function definition as an audited window-safe leaf for
- * contest_lint's window-phase call-graph analysis (DESIGN.md §12):
- * the analyzer neither classifies nor traverses it. Expands to
- * nothing — it is an annotation for the linter's unpreprocessed
- * token stream, placed immediately before the definition. Use only
- * after auditing that the function cannot mutate another core's
- * contest state, allocate, or draw randomness when reached from the
- * window tick path (runtime panics and the CONTEST_CHECK_WINDOWS
- * shadow checker remain as the dynamic backstop).
- */
-#define CONTEST_WINDOW_SAFE
-
 #endif // CONTEST_COMMON_TYPES_HH

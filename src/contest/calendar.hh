@@ -57,17 +57,6 @@ class TickCalendar
         return heap.front().time;
     }
 
-    /** The scheduled edge of @p core (which must be present). The
-     *  windowed scheduler reads every member's edge to bound the
-     *  provably-inert span. */
-    TimePs
-    timeOf(CoreId core) const
-    {
-        panic_if(!contains(core),
-                 "TickCalendar::timeOf(%u): core not scheduled", core);
-        return heap[pos[core]].time;
-    }
-
     /** Insert @p core or move its edge to @p time. */
     void
     set(CoreId core, TimePs time)

@@ -63,45 +63,6 @@ struct ContestConfig
     TimePs interruptHandlerPs{500'000};
 
     /**
-     * @name Windowed-scheduling knobs (DESIGN.md §14)
-     *
-     * These shape only the *schedule* of the windowed parallel path
-     * — how long each inert window may run and how the scheduler
-     * backs off after degenerate horizons. Results are bit-identical
-     * across all settings (commit replays events in sequential tick
-     * order regardless of window size), which is why none of them
-     * participate in the ResultCache key.
-     */
-    /** @{ */
-
-    /**
-     * Upper limit on the per-window tick cap. The adaptive scheduler
-     * starts each run at initialWindowTicks and doubles the cap
-     * after every cleanly committed window up to this value, so
-     * long inert stretches amortize the per-window horizon + commit
-     * overhead over ever-larger quanta.
-     */
-    std::uint64_t maxWindowTicks = std::uint64_t{1} << 16;
-
-    /** Starting value of the adaptive per-window tick cap. */
-    std::uint64_t initialWindowTicks = 4096;
-
-    /**
-     * Sequential-burst hysteresis: after a degenerate window (the
-     * horizon proves no inert span exists) the oracle runs this many
-     * seqSteps before re-attempting a window, instead of paying a
-     * horizon computation every single step. Consecutive degenerate
-     * attempts double the burst up to maxSeqBurstTicks; a committed
-     * window resets it.
-     */
-    std::uint64_t seqBurstTicks = 32;  // contest-lint: allow(bare-u64-quantity)
-
-    /** Upper limit of the hysteresis burst length. */
-    std::uint64_t maxSeqBurstTicks = 4096;  // contest-lint: allow(bare-u64-quantity)
-
-    /** @} */
-
-    /**
      * Deadlock watchdog: panic after this many simulated core ticks
      * without the retire frontier advancing. The budget counts
      * *simulated* ticks including fast-forwarded ones — an elided

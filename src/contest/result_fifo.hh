@@ -53,11 +53,6 @@ class ResultFifo
      *         saturated lagger); the entry is not recorded.
      */
     bool
-    // Audited window-safe leaf: only ContestSystem's sequential
-    // loop and window-commit phase push into a fifo (in-window
-    // delivery panics in receiveResult first); the shadow checker
-    // re-verifies this at runtime under CONTEST_CHECK_WINDOWS.
-    CONTEST_WINDOW_SAFE
     push(InstSeq seq, TimePs arrival)
     {
         panic_if(seq != headSeq_ + count,

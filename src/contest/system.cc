@@ -1,8 +1,6 @@
 #include "contest/system.hh"
 
 #include <algorithm>
-#include <chrono>
-#include <limits>
 
 #include "common/env.hh"
 #include "common/log.hh"
@@ -83,8 +81,6 @@ ContestSystem::broadcast(CoreId from, InstSeq seq, TimePs now)
     for (CoreId c = 0; c < units.size(); ++c) {
         if (c == from || units[c]->parked())
             continue;
-        CONTEST_SHADOW_RECORD(shadowLog_, c, FifoState, true,
-                              "ContestSystem::broadcast");
         units[c]->receiveResult(from, seq, now + cfg.grbLatencyPs);
     }
 }
@@ -103,9 +99,6 @@ ContestSystem::corePark(CoreId core, TimePs now)
 void
 ContestSystem::noteRetire(CoreId core, InstSeq seq)
 {
-    CONTEST_SHADOW_RECORD(shadowLog_, kShadowGlobalOwner,
-                          LeadFrontier, true,
-                          "ContestSystem::noteRetire");
     if (seq != frontier)
         return; // a lagger re-retiring an already-led instruction
     if (frontier > InstSeq{} && core != lastLeader)
@@ -254,527 +247,8 @@ ContestSystem::seqStep(RunState &rs)
     }
 }
 
-void
-ContestSystem::buildWindowIndexes()
-{
-    if (windowIndexesBuilt)
-        return;
-    for (std::size_t i = 0; i < trace->size(); ++i) {
-        const OpClass op = (*trace)[InstSeq{i}].op;
-        if (op == OpClass::Syscall)
-            syscallSeqs.push_back(InstSeq{i});
-        else if (op == OpClass::Store)
-            storeSeqs.push_back(InstSeq{i});
-    }
-    windowIndexesBuilt = true;
-}
-
-namespace
-{
-
-/** Most ticks a core retiring <= width instructions per tick can
- *  execute from retirement position @p r0 without its retirement
- *  (or any hook argument derived from it) reaching position @p s. */
-std::uint64_t
-stepsBelow(std::uint64_t s, std::uint64_t r0, std::uint64_t width)
-{
-    return s > r0 ? (s - r0 - 1) / width : 0;
-}
-
-/** Seconds elapsed since @p t0 on the steady clock. */
-double
-secondsSince(std::chrono::steady_clock::time_point t0)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-}
-
-} // namespace
-
-TimePs
-ContestSystem::windowHorizon(RunState &rs)
-{
-    const auto n = static_cast<CoreId>(cores.size());
-    // Cap on any core's in-window ticks: bounds the per-lane tick
-    // and event logs (and the bound arithmetic) regardless of how
-    // inert the timeline is. Adaptive: runWindowed grows it toward
-    // cfg.maxWindowTicks while windows commit cleanly. The cap is
-    // applied at use time so the cached k terms stay cap-independent.
-    const std::uint64_t max_ticks = rs.capTicks;
-
-    TimePs w1 = TimePs::max();
-    // No in-window edge may reach the next interrupt: servicing
-    // terminates-and-reforks every core, a cross-core effect only
-    // the sequential path performs.
-    if (cfg.interruptPeriodPs > TimePs{})
-        w1 = std::min(w1, rs.nextInterrupt);
-
-    if (rs.selfTerms.size() != n) {
-        rs.selfTerms.assign(n, RunState::SelfTerms{});
-        rs.pairTerms.assign(static_cast<std::size_t>(n) * n,
-                            RunState::PairTerms{});
-    }
-    const std::uint64_t merged = storeQ->mergedCount().count();
-
-    for (CoreId c = 0; c < n; ++c) {
-        if (!rs.calendar.contains(c))
-            continue;
-        const OooCore &core = *cores[c];
-        const std::uint64_t edge = rs.calendar.timeOf(c).count();
-        // Raw counts on purpose: the bound arithmetic mixes ps,
-        // cycles and sequence numbers, guarded by comparisons.
-        // contest-lint: allow(bare-u64-quantity)
-        const std::uint64_t period = core.periodPs().count();
-        const std::uint64_t width = core.config().width;
-        const std::uint64_t r0 = core.retired().count();
-
-        // Self bounds: the core must not finish the trace, reach a
-        // syscall rendezvous, or meet the first store the queue
-        // could refuse (its un-merged backlog measured now; merging
-        // only ever frees more room, so this is conservative).
-        // Cached: the terms depend only on (r0, performed, merged),
-        // so a core that merely skipped idle cycles reuses them.
-        RunState::SelfTerms &st = rs.selfTerms[c];
-        const std::uint64_t performed =
-            storeQ->performedBy(c).count();
-        if (st.valid && st.r0 == r0 && st.performed == performed
-            && st.merged == merged) {
-            ++winStats_.horizonReuses;
-        } else {
-            ++winStats_.horizonRecomputes;
-            if (!st.valid || r0 < st.r0) {
-                // First use or refork: seed the cursors by search.
-                st.syCur = static_cast<std::size_t>(
-                    std::lower_bound(syscallSeqs.begin(),
-                                     syscallSeqs.end(), InstSeq{r0})
-                    - syscallSeqs.begin());
-                st.stCur = static_cast<std::size_t>(
-                    std::lower_bound(storeSeqs.begin(),
-                                     storeSeqs.end(), InstSeq{r0})
-                    - storeSeqs.begin());
-            } else {
-                // Retirement only moved forward: advance linearly
-                // (amortized O(1) over the run).
-                while (st.syCur < syscallSeqs.size()
-                       && syscallSeqs[st.syCur].count() < r0)
-                    ++st.syCur;
-                while (st.stCur < storeSeqs.size()
-                       && storeSeqs[st.stCur].count() < r0)
-                    ++st.stCur;
-            }
-            std::uint64_t k =
-                stepsBelow(trace->endSeq().count(), r0, width);
-            if (st.syCur < syscallSeqs.size())
-                k = std::min(k,
-                             stepsBelow(
-                                 syscallSeqs[st.syCur].count(), r0,
-                                 width));
-            if (!storeSeqs.empty()) {
-                const std::uint64_t backlog = performed - merged;
-                const std::uint64_t allowance =
-                    cfg.storeQueueCapacity - backlog;
-                if (st.stCur + allowance < storeSeqs.size())
-                    k = std::min(
-                        k,
-                        stepsBelow(
-                            storeSeqs[st.stCur + allowance].count(),
-                            r0, width));
-            }
-            st.valid = true;
-            st.r0 = r0;
-            st.performed = performed;
-            st.merged = merged;
-            st.k = k;
-        }
-        std::uint64_t k = std::min(max_ticks, st.k);
-
-        for (CoreId d = 0; d < n; ++d) {
-            if (d == c || !rs.calendar.contains(d))
-                continue;
-            const OooCore &recv = *cores[d];
-            // Pair terms, this core sending to receiver d. Cached on
-            // the (sender retired, receiver fetch, receiver floor,
-            // receiver FIFO depth) signature.
-            RunState::PairTerms &pt =
-                rs.pairTerms[static_cast<std::size_t>(c) * n + d];
-            const std::uint64_t f_b = recv.nextFetchSeq().count();
-            const std::uint64_t floor_b =
-                recv.hookArgFloor().count();
-            const std::size_t depth = units[d]->fifoDepth(c);
-            if (pt.valid && pt.r0 == r0 && pt.fetch == f_b
-                && pt.floor == floor_b && pt.depth == depth) {
-                ++winStats_.horizonReuses;
-            } else {
-                ++winStats_.horizonRecomputes;
-                // Sender slack bound: this core's broadcasts must
-                // fit into the receiver's free FIFO slack even if
-                // the receiver never pops, so no in-window push can
-                // overflow (= park anyone).
-                pt.kSlack =
-                    (cfg.fifoCapacity - depth) / width;
-                // Ordered-pair bound: the window is inert if EITHER
-                // the receiver's hook arguments stay strictly below
-                // the sender's next retirement ("reach": new results
-                // sit at the FIFO tail, invisible to pairing and
-                // discarding) OR the sender's in-window retirements
-                // stay strictly below the receiver's argument floor
-                // ("late": every new result is a late, discardable
-                // one, replayed exactly by the commit phase). Each
-                // candidate constrains only its own core's ticks and
-                // is sound on its own, so the pair contributes the
-                // larger of the two.
-                pt.kReach =
-                    r0 > f_b ? (r0 - f_b) / recv.config().width : 0;
-                pt.kLate =
-                    floor_b > r0 ? (floor_b - r0) / width : 0;
-                pt.valid = true;
-                pt.r0 = r0;
-                pt.fetch = f_b;
-                pt.floor = floor_b;
-                pt.depth = depth;
-            }
-            k = std::min(k, pt.kSlack);
-            const std::uint64_t reach_bound =
-                rs.calendar.timeOf(d).count()
-                + recv.periodPs().count()
-                      * std::min(max_ticks, pt.kReach);
-            const std::uint64_t late_bound =
-                edge + period * std::min(max_ticks, pt.kLate);
-            w1 = std::min(w1,
-                          TimePs{std::max(reach_bound, late_bound)});
-        }
-        w1 = std::min(w1, TimePs{edge + period * k});
-    }
-    return w1;
-}
-
-ContestSystem::WindowAttempt
-ContestSystem::executeWindow(RunState &rs, ContestWorkerGroup &group)
-{
-    if (rs.calendar.empty()) {
-        ++winStats_.seqRequiredFallbacks;
-        return WindowAttempt::SeqOnly; // seqStep raises the
-                                       // all-parked panic
-    }
-    const TimePs t0 = rs.calendar.minTime();
-    if (cfg.interruptPeriodPs > TimePs{} && t0 >= rs.nextInterrupt) {
-        ++winStats_.seqRequiredFallbacks;
-        return WindowAttempt::SeqOnly; // interrupt service is due
-    }
-
-    // Steady-state allocation probe (test hook): sample before the
-    // horizon so the whole window body is covered.
-    const bool probing = allocProbe_ != nullptr
-        && winStats_.windows >= allocProbeWarmup_;
-    const std::uint64_t allocs0 =
-        probing ? allocProbe_->load(std::memory_order_relaxed) : 0;
-
-    // One clock read per phase boundary, each doubling as the next
-    // phase's start: 4 reads per window, not 6. Lane setup (the
-    // beginWindow/reserve loop) is charged to the lane phase.
-    const auto t_hz = std::chrono::steady_clock::now();
-    const TimePs w1 = windowHorizon(rs);
-    const auto t_lane = std::chrono::steady_clock::now();
-    winStats_.horizonSec +=
-        std::chrono::duration<double>(t_lane - t_hz).count();
-    if (w1 <= t0) {
-        ++winStats_.degenerateFallbacks;
-        return WindowAttempt::Degenerate;
-    }
-
-    const auto n = static_cast<CoreId>(cores.size());
-    rs.lanes.clear();
-    bool logs_grew = false;
-    for (CoreId c = 0; c < n; ++c) {
-        if (!rs.calendar.contains(c))
-            continue;
-        // Every live unit enters deferred mode — cores whose next
-        // edge lies past W1 run no ticks but must still not see live
-        // broadcasts; their logs stay empty.
-        units[c]->beginWindow(w1);
-        const TimePs edge = rs.calendar.timeOf(c);
-        if (edge < w1) {
-            rs.lanes.push_back(c);
-            // Bound the lane's logs up front so the lane loop
-            // performs no allocation: at most ceil(span/period)
-            // executed ticks, each deferring at most width retires
-            // plus width store commits.
-            const OooCore &core = *cores[c];
-            const std::uint64_t span = (w1 - edge).count();
-            const std::uint64_t period = core.periodPs().count();  // contest-lint: allow(bare-u64-quantity)
-            const std::size_t max_lane_ticks =
-                static_cast<std::size_t>((span + period - 1)
-                                         / period);
-            logs_grew |= units[c]->reserveWindowLogs(
-                max_lane_ticks,
-                2 * core.config().width * max_lane_ticks);
-        }
-    }
-#ifdef CONTEST_CHECK_WINDOWS
-    // Shadow-log lane slots are indexed by CoreId, so size to the
-    // full core count; lanes that run no ticks stay empty.
-    shadowLog_.beginWindow(n);
-#endif
-
-    // Advance each lane independently to its first edge at or past
-    // W1. Inside the window a core touches only its own state (the
-    // bound proves no cross-core interaction), so lanes may run on
-    // any thread in any order.
-    rs.laneEdges.resize(rs.lanes.size());
-    // Loop invariants hoisted into the closure: core.tick may alias
-    // anything through `this`, so without the locals the compiler
-    // must reload cfg and rs fields on every iteration.
-    const bool no_skip = rs.noSkip;
-    const bool has_irq = cfg.interruptPeriodPs > TimePs{};
-    const TimePs next_irq = rs.nextInterrupt;
-    const auto lane_body = [&](std::size_t i) {
-        const CoreId c = rs.lanes[i];
-#ifdef CONTEST_CHECK_WINDOWS
-        // Bind this worker thread to the lane for the duration of
-        // the lane's run; one thread may execute several lanes.
-        shadowSetCurrentLane(c);
-#endif
-        OooCore &core = *cores[c];
-        CoreContestUnit &u = *units[c];
-        const std::uint64_t step = core.periodPs().count();
-        TimePs edge = rs.calendar.timeOf(c);
-        while (edge < w1) {
-            core.tick(edge);
-            panic_if(core.done(),
-                     "core %u finished inside a window", c);
-            Cycles skipped{};
-            if (!no_skip) {
-                Cycles max_skip = Cycles::max();
-                if (has_irq) {
-                    TimePs gap = next_irq - edge;
-                    max_skip =
-                        Cycles{(gap.count() - 1) / step};
-                }
-                skipped = core.skipIdleCycles(max_skip);
-            }
-            u.recordTick(edge, skipped);
-            edge += TimePs{step * (skipped.count() + 1)};
-        }
-        rs.laneEdges[i] = edge;
-#ifdef CONTEST_CHECK_WINDOWS
-        shadowClearCurrentLane();
-#endif
-    };
-    group.run(rs.lanes.size(), lane_body);
-    const auto t_commit = std::chrono::steady_clock::now();
-    winStats_.laneSec +=
-        std::chrono::duration<double>(t_commit - t_lane).count();
-
-    commitWindow(rs);
-    const auto t_done = std::chrono::steady_clock::now();
-    winStats_.commitSec +=
-        std::chrono::duration<double>(t_done - t_commit).count();
-
-    std::uint64_t ticks = 0;
-    for (const CoreId c : rs.lanes)
-        ticks += units[c]->windowTickCount();
-    winStats_.recordWindow(ticks, rs.lanes.size());
-    // A window that set a new log high-water mark is still warm-up,
-    // however late it runs: reserve() legitimately reallocates for
-    // the first window at each new size, and "steady state" means
-    // all high-water marks have been reached.
-    if (probing && !logs_grew) {
-        winStats_.steadyAllocs +=
-            allocProbe_->load(std::memory_order_relaxed) - allocs0;
-        ++winStats_.steadyWindows;
-    }
-    return WindowAttempt::Ran;
-}
-
-void
-ContestSystem::commitWindow(RunState &rs)
-{
-    const std::vector<CoreId> &lanes = rs.lanes;
-    const std::vector<TimePs> &lane_edges = rs.laneEdges;
-    const auto n = static_cast<CoreId>(cores.size());
-    for (CoreId c = 0; c < n; ++c)
-        if (rs.calendar.contains(c))
-            units[c]->endWindow();
-
-#ifdef CONTEST_CHECK_WINDOWS
-    // Verify the window before replaying anything: a cross-lane
-    // write recorded during the window is a discipline violation
-    // even if the replay below would happen to mask it.
-    shadowLog_.verifyAndClose();
-#endif
-
-    // Merge the lanes' tick logs by (time, core id) — lanes are in
-    // ascending core-id order, so taking the first strictly-smallest
-    // time reproduces the calendar's tie-break — and replay each
-    // tick's deferred events: exactly the order the sequential loop
-    // would have produced them in.
-    using MergeLane = RunState::MergeLane;
-    std::vector<MergeLane> &merge = rs.merge;
-    merge.clear();
-    for (const CoreId c : lanes) {
-        CoreContestUnit &u = *units[c];
-        merge.push_back(MergeLane{
-            u.windowTickData(),
-            static_cast<std::uint32_t>(u.windowTickCount()), 0, 0,
-            &u, c});
-    }
-    // The watchdog runs inline on hoisted state: per merged tick it
-    // is one compare plus an add, and writing the run-state fields
-    // back once per window keeps the loop's stores to the logs only.
-    InstSeq last_frontier = rs.lastFrontier;
-    std::uint64_t stuck = rs.stuckTicks;
-    for (;;) {
-        std::size_t best = merge.size();
-        TimePs best_at{};
-        for (std::size_t i = 0; i < merge.size(); ++i) {
-            const MergeLane &ml = merge[i];
-            if (ml.tick >= ml.count)
-                continue;
-            // SoA tick log: the merge's inner loop reads only the
-            // packed time array until a lane actually wins.
-            const TimePs at = ml.at[ml.tick];
-            if (best == merge.size() || at < best_at) {
-                best = i;
-                best_at = at;
-            }
-        }
-        if (best == merge.size())
-            break;
-
-        MergeLane &ml = merge[best];
-        const CoreId c = ml.core;
-        CoreContestUnit &u = *ml.unit;
-        const TimePs tk_at = best_at;
-        const Cycles tk_skipped = u.windowTickSkipped(ml.tick);
-        const std::uint32_t ev_end = u.windowTickEvEnd(ml.tick);
-        for (std::uint32_t e = ml.ev; e < ev_end; ++e) {
-            if (!u.windowEventIsStore(e)) {
-                const InstSeq seq{u.windowEventArg(e)};
-                noteRetire(c, seq);
-                const TimePs arrival = tk_at + cfg.grbLatencyPs;
-                for (CoreId d = 0; d < n; ++d) {
-                    if (d == c || units[d]->parked())
-                        continue;
-                    units[d]->commitDeferredResult(c, seq,
-                                                   arrival, tk_at);
-                }
-            } else {
-                storeQ->performStore(c, u.windowEventArg(e));
-            }
-        }
-        ml.ev = ev_end;
-        ++ml.tick;
-
-        // noteTickForWatchdog, inlined on the hoisted state. Windows
-        // never finish a core (the lane loop panics if one does), so
-        // rs.finished cannot flip mid-merge.
-        if (frontier != last_frontier) {
-            last_frontier = frontier;
-            stuck = tk_skipped.count();
-        } else {
-            stuck += 1 + tk_skipped.count();
-        }
-        if (stuck > cfg.deadlockStuckTicks)
-            panic("contest deadlock: no retirement in %llu ticks "
-                  "(frontier %llu of %zu)",
-                  static_cast<unsigned long long>(
-                      cfg.deadlockStuckTicks),
-                  static_cast<unsigned long long>(frontier),
-                  trace->size());
-    }
-    rs.lastFrontier = last_frontier;
-    rs.stuckTicks = stuck;
-
-    // Only a skip record's final value is ever read (rewindPastEdge
-    // runs on the sequential path, after the commit): one write per
-    // lane, not one per merged tick.
-    for (const MergeLane &ml : merge)
-        if (ml.count > 0)
-            rs.skipRec[ml.core] = RunState::SkipRecord{
-                ml.at[ml.count - 1],
-                ml.unit->windowTickSkipped(ml.count - 1)};
-
-    panic_if(parkEvents != rs.parksSeen,
-             "a core parked inside an execution window (the FIFO "
-             "slack bound must prevent overflow)");
-    for (std::size_t i = 0; i < lanes.size(); ++i)
-        rs.calendar.set(lanes[i], lane_edges[i]);
-}
-
-void
-ContestSystem::runWindowed(RunState &rs, unsigned jobs)
-{
-    buildWindowIndexes();
-    rs.capTicks = std::max<std::uint64_t>(
-        1, std::min(cfg.initialWindowTicks, cfg.maxWindowTicks));
-    rs.burstLen = std::max<std::uint64_t>(1, cfg.seqBurstTicks);
-    const std::uint64_t max_burst =
-        std::max(rs.burstLen, cfg.maxSeqBurstTicks);
-    // Worker threads come from the process-wide lease shared with
-    // the suite-level pool; whatever is granted — possibly nothing,
-    // the group then runs every lane inline — the schedule and the
-    // results are identical, only wall-clock changes.
-    const unsigned lanes_wanted = std::min(
-        jobs, static_cast<unsigned>(cores.size()));
-    const unsigned granted = acquireContestWorkers(lanes_wanted - 1);
-    {
-        ContestWorkerGroup group(granted);
-        while (!rs.finished) {
-            const WindowAttempt att = executeWindow(rs, group);
-            if (att == WindowAttempt::Ran) {
-                // The window committed cleanly: double the quantum
-                // toward the cap (amortizing the horizon + commit
-                // overhead over larger inert spans) and re-arm the
-                // hysteresis burst at its floor.
-                if (rs.capTicks < cfg.maxWindowTicks) {
-                    rs.capTicks = std::min(rs.capTicks * 2,
-                                           cfg.maxWindowTicks);
-                    ++winStats_.capGrowths;
-                }
-                rs.burstLen =
-                    std::max<std::uint64_t>(1, cfg.seqBurstTicks);
-                continue;
-            }
-            const auto t_seq = std::chrono::steady_clock::now();
-            if (att == WindowAttempt::SeqOnly) {
-                // Inherently sequential (due interrupt or all-parked
-                // panic): a single step, no hysteresis — the next
-                // attempt may well open a long window.
-                seqStep(rs);
-                ++winStats_.seqSteps;
-            } else {
-                // Degenerate horizon: the timeline is actively
-                // entangled right now, and computing a horizon per
-                // step is exactly the overhead that made windowing a
-                // net loss. Run a burst of sequential steps before
-                // the next attempt, doubling the burst while
-                // attempts keep failing.
-                for (std::uint64_t i = 0;
-                     i < rs.burstLen && !rs.finished; ++i) {
-                    seqStep(rs);
-                    ++winStats_.seqSteps;
-                    ++winStats_.burstSteps;
-                }
-                rs.burstLen = std::min(rs.burstLen * 2, max_burst);
-            }
-            winStats_.oracleSec += secondsSince(t_seq);
-        }
-    }
-    releaseContestWorkers(granted);
-    winStats_.finalCapTicks = rs.capTicks;
-#ifdef CONTEST_CHECK_WINDOWS
-    inform("shadow access log: %llu window(s) verified, %llu "
-           "access(es) checked, zero cross-lane write conflicts",
-           static_cast<unsigned long long>(
-               shadowLog_.windowsVerified()),
-           static_cast<unsigned long long>(
-               shadowLog_.accessesChecked()));
-#endif
-}
-
 ContestResult
-ContestSystem::run(unsigned contest_jobs)
+ContestSystem::run()
 {
     const auto n = static_cast<CoreId>(cores.size());
 
@@ -788,16 +262,8 @@ ContestSystem::run(unsigned contest_jobs)
     rs.nextInterrupt = cfg.interruptPeriodPs;
     for (CoreId c = 0; c < n; ++c)
         rs.calendar.set(c, TimePs{});
-    winStats_ = WindowStats{};
-
-    const unsigned jobs =
-        contest_jobs != 0 ? contest_jobs : contestJobs();
-    if (jobs > 1 && n > 1) {
-        runWindowed(rs, jobs);
-    } else {
-        while (!rs.finished)
-            seqStep(rs);
-    }
+    while (!rs.finished)
+        seqStep(rs);
     return collectResult(rs);
 }
 

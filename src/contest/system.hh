@@ -11,18 +11,14 @@
 #ifndef CONTEST_CONTEST_SYSTEM_HH
 #define CONTEST_CONTEST_SYSTEM_HH
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
-#include "common/thread_pool.hh"
 #include "contest/calendar.hh"
 #include "contest/config.hh"
 #include "contest/exception.hh"
-#include "contest/shadow_log.hh"
 #include "contest/unit.hh"
-#include "contest/window_stats.hh"
 #include "core/ooo_core.hh"
 #include "core/stats.hh"
 #include "mem/sync_store_queue.hh"
@@ -93,15 +89,8 @@ class ContestSystem
      * core retires the final instruction. Statically mismatched
      * peak rates (Section 4.1.4) are reported through warn(); the
      * dynamic saturation detector parks offenders either way.
-     *
-     * @param contest_jobs worker-thread budget for intra-simulation
-     *        parallelism: 1 runs the classic sequential event loop;
-     *        >1 shards provably-inert windows of the timeline across
-     *        up to that many threads (bit-identical results — the
-     *        sequential loop is the validation oracle); 0 (default)
-     *        reads CONTEST_CONTEST_JOBS.
      */
-    ContestResult run(unsigned contest_jobs = 0);
+    ContestResult run();
 
     /** Access a core (valid after construction). */
     const OooCore &core(CoreId id) const { return *cores.at(id); }
@@ -121,42 +110,13 @@ class ContestSystem
     ExceptionCoordinator &exceptions() { return *excCoord; }
     /** First core to retire each instruction (lead tracking). */
     void noteRetire(CoreId core, InstSeq seq);
-    /** The window-phase shadow access log (hooks are no-ops unless
-     *  the build defines CONTEST_CHECK_WINDOWS; DESIGN.md §12). */
-    ShadowAccessLog &shadowLog() { return shadowLog_; }
     /** @} */
-
-    /**
-     * Window-scheduling counters and wall-time split of the latest
-     * run() (DESIGN.md §14). All-zero (inactive) when the run never
-     * took the windowed path. The counter block is a deterministic
-     * function of the simulated timeline — identical across worker
-     * counts — while the wall-time fields reflect this machine.
-     */
-    const WindowStats &windowStats() const { return winStats_; }
-
-    /**
-     * Test hook: account heap allocations per steady-state window.
-     * @p counter (typically incremented by a test's operator-new
-     * override) is sampled (relaxed) around each committed window
-     * after the first @p warmup_windows windows; the deltas land in
-     * WindowStats::steadyAllocs / steadyWindows. Pass nullptr to
-     * disarm.
-     */
-    void
-    setAllocProbe(const std::atomic<std::uint64_t> *counter,
-                  std::uint64_t warmup_windows)
-    {
-        allocProbe_ = counter;
-        allocProbeWarmup_ = warmup_windows;
-    }
 
   private:
     /**
      * Mutable state of one run(): the event calendar, the eager-skip
-     * records, finish/interrupt/watchdog bookkeeping. Factored out
-     * of run() so the sequential oracle step and the windowed
-     * parallel scheduler advance the same state.
+     * records, finish/interrupt/watchdog bookkeeping. Only seqStep
+     * advances it.
      */
     struct RunState
     {
@@ -185,129 +145,12 @@ class ContestSystem
          *  frontier last advanced). */
         InstSeq lastFrontier{};
         std::uint64_t stuckTicks = 0;
-
-        /** @name Windowed-scheduler state (used by runWindowed only;
-         *  DESIGN.md §14) */
-        /** @{ */
-
-        /** Adaptive per-window tick cap: doubles after each cleanly
-         *  committed window up to ContestConfig::maxWindowTicks. */
-        std::uint64_t capTicks = 0;
-        /** Current hysteresis burst length (sequential steps taken
-         *  after a degenerate horizon before the next attempt). */
-        std::uint64_t burstLen = 0;
-
-        /** Persistent window scratch, reused across windows so the
-         *  hot loop constructs no vectors. */
-        std::vector<CoreId> lanes;
-        std::vector<TimePs> laneEdges;
-        /** Commit-phase merge cursor over one lane's tick log. The
-         *  packed time array is captured as a raw pointer so the
-         *  k-way merge's inner scan is a single indexed load, no
-         *  accessor calls. */
-        struct MergeLane
-        {
-            const TimePs *at = nullptr; //!< lane's tick-time array
-            std::uint32_t count = 0;    //!< ticks in the lane's log
-            std::uint32_t tick = 0;     //!< next unmerged tick
-            std::uint32_t ev = 0;       //!< next unreplayed event
-            CoreContestUnit *unit = nullptr;
-            CoreId core = 0;
-        };
-        std::vector<MergeLane> merge;
-
-        /**
-         * Signature-validated horizon term cache. Each cached entry
-         * stores the *tick-count* bounds (k values, uncapped) of one
-         * core or ordered pair together with a signature of every
-         * input they depend on; windowHorizon recomputes a term only
-         * when its signature changed and applies the calendar edges
-         * and the adaptive cap at use time, so a core that merely
-         * advanced its clock (skipped idle cycles without retiring
-         * or touching the store queue) reuses its terms verbatim.
-         * Signatures capture refork and park effects too (retired
-         * position, fetch position, hook-argument floor, FIFO depth,
-         * store-queue counters all change), so there is no explicit
-         * invalidation path to get wrong.
-         */
-        struct SelfTerms
-        {
-            bool valid = false;
-            /** @name Signature */
-            /** @{ */
-            std::uint64_t r0 = 0;        //!< retired position
-            std::uint64_t performed = 0; //!< stores performed by core
-            std::uint64_t merged = 0;    //!< stores merged (global)
-            /** @} */
-            /** Uncapped min of the trace-end / syscall / store-queue
-             *  tick bounds. */
-            std::uint64_t k = 0;
-            /** Monotone cursors into syscallSeqs / storeSeqs (first
-             *  entry at or after r0); re-seeded by binary search
-             *  only when r0 moved backwards (refork). */
-            std::size_t syCur = 0;
-            std::size_t stCur = 0;
-        };
-        struct PairTerms
-        {
-            bool valid = false;
-            /** @name Signature (c = sender, d = receiver) */
-            /** @{ */
-            std::uint64_t r0 = 0;    //!< sender retired position
-            std::uint64_t fetch = 0; //!< receiver fetch position
-            std::uint64_t floor = 0; //!< receiver hook-arg floor
-            std::size_t depth = 0;   //!< receiver fifoDepth(sender)
-            /** @} */
-            std::uint64_t kReach = 0; //!< receiver ticks (uncapped)
-            std::uint64_t kLate = 0;  //!< sender ticks (uncapped)
-            std::uint64_t kSlack = 0; //!< sender ticks (uncapped)
-        };
-        std::vector<SelfTerms> selfTerms;
-        /** Ordered pairs, indexed sender * n + receiver. */
-        std::vector<PairTerms> pairTerms;
-        /** @} */
     };
 
-    /** One step of the sequential event loop: service a due
-     *  interrupt or tick the earliest core, then do the park /
-     *  finish / watchdog bookkeeping. The validation oracle for the
-     *  windowed scheduler. */
+    /** One step of the event loop: service a due interrupt or tick
+     *  the earliest core, then do the park / finish / watchdog
+     *  bookkeeping. */
     void seqStep(RunState &rs);
-
-    /** Drive @p rs to completion with up to @p jobs-way windowed
-     *  parallelism, falling back to seqStep for degenerate spans. */
-    void runWindowed(RunState &rs, unsigned jobs);
-
-    /**
-     * Upper bound W1 of a provably-inert window starting at the
-     * calendar's minimum: below W1 no core can finish, park, reach
-     * an exception or interrupt edge, stall on the store queue, or
-     * observe another core's in-window retirement other than as a
-     * deferred (late, discardable) result. W1 <= the minimum edge
-     * means no window exists (take a sequential step instead).
-     * Non-const: maintains the RunState's horizon term cache and the
-     * recompute/reuse counters.
-     */
-    TimePs windowHorizon(RunState &rs);
-
-    /** Outcome of one executeWindow attempt. */
-    enum class WindowAttempt
-    {
-        Ran,        //!< a window executed and committed
-        Degenerate, //!< horizon proved no inert span exists
-        SeqOnly,    //!< inherently sequential step (due interrupt,
-                    //!< empty calendar) — no horizon was computed
-    };
-
-    /** Run one window if windowHorizon allows: advance every core
-     *  with an edge below W1 on the worker group, then commit. */
-    WindowAttempt executeWindow(RunState &rs,
-                                ContestWorkerGroup &group);
-
-    /** Replay the window's deferred events in (time, core-id) order
-     *  — the sequential tick order — and advance the calendar.
-     *  Reads the lanes/edges from rs's persistent scratch. */
-    void commitWindow(RunState &rs);
 
     /** Rewind the part of @p c's last skip window ordering at or
      *  after the (time @p t, core @p pick) edge. */
@@ -320,10 +163,6 @@ class ContestSystem
     /** Assemble the ContestResult once rs.finished. */
     ContestResult collectResult(const RunState &rs);
 
-    /** Build the trace-position indexes the window bound needs
-     *  (first syscall / n-th store at or after a position). */
-    void buildWindowIndexes();
-
     std::vector<CoreConfig> configs;
     TracePtr trace;
     ContestConfig cfg;
@@ -332,7 +171,6 @@ class ContestSystem
     std::vector<std::unique_ptr<CoreContestUnit>> units;
     std::unique_ptr<SyncStoreQueue> storeQ;
     std::unique_ptr<ExceptionCoordinator> excCoord;
-    ShadowAccessLog shadowLog_;
 
     /** @name Lead tracking */
     /** @{ */
@@ -356,24 +194,6 @@ class ContestSystem
      *  to detect a park that happened inside the current tick (the
      *  parked core's in-flight skip window must be rewound). */
     std::uint64_t parkEvents = 0;
-
-    /** @name Windowed-scheduling telemetry (reset by each run()) */
-    /** @{ */
-    WindowStats winStats_;
-    /** Armed by setAllocProbe(): sampled around each committed
-     *  window once winStats_.windows >= allocProbeWarmup_. */
-    const std::atomic<std::uint64_t> *allocProbe_ = nullptr;
-    std::uint64_t allocProbeWarmup_ = 0;
-    /** @} */
-
-    /** @name Windowed-execution trace indexes (lazily built) */
-    /** @{ */
-    /** Stream positions of syscall instructions, ascending. */
-    std::vector<InstSeq> syscallSeqs;
-    /** Stream positions of store instructions, ascending. */
-    std::vector<InstSeq> storeSeqs;
-    bool windowIndexesBuilt = false;
-    /** @} */
 };
 
 /**

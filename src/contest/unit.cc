@@ -1,21 +1,7 @@
-// contest-lint: allow-file(window-phase)
-//
-// This file is the audited boundary between the window phase and the
-// sequential phase. Every cross-core call below (noteRetire,
-// performStore, broadcast, exceptions().arrive) sits behind an
-// `inWindow` guard that defers it into the per-lane deferred-event
-// log instead, and the per-lane SoA tick/event arrays are own-lane
-// state by construction. The static analyzer therefore does not
-// traverse past this file; two dynamic checks re-verify the waiver
-// on every run: receiveResult/onSyscall panic if reached in-window,
-// and the CONTEST_CHECK_WINDOWS shadow access log proves zero
-// cross-lane writes at each window commit (DESIGN.md §12).
-
 #include "contest/unit.hh"
 
 #include <algorithm>
 
-#include "common/env.hh"
 #include "contest/system.hh"
 
 namespace contest
@@ -31,9 +17,6 @@ CoreContestUnit::CoreContestUnit(CoreId self_id,
     fifos.reserve(num_cores);
     for (unsigned c = 0; c < num_cores; ++c)
         fifos.emplace_back(cfg.fifoCapacity);
-#ifdef CONTEST_CHECK_WINDOWS
-    injectInWindowStores = envFlag("CONTEST_CHECK_WINDOWS_INJECT");
-#endif
 }
 
 InstSeq
@@ -52,11 +35,7 @@ CoreContestUnit::onFetch(InstSeq seq, TimePs now)
     FetchOutcome out;
     if (stats_.saturated)
         return out;
-    noteWindowOp(seq, now);
     ++fifoGen;
-    // Pops and discards below touch only this core's own FIFOs.
-    CONTEST_SHADOW_RECORD(sys->shadowLog(), self, FifoState, true,
-                          "CoreContestUnit::onFetch");
 
     for (std::size_t c = 0; c < fifos.size(); ++c) {
         if (c == self)
@@ -78,13 +57,10 @@ CoreContestUnit::onFetch(InstSeq seq, TimePs now)
 }
 
 std::optional<TimePs>
-CoreContestUnit::externalBranchResolve(InstSeq seq, TimePs now)
+CoreContestUnit::externalBranchResolve(InstSeq seq, TimePs)
 {
     if (stats_.saturated || !cfg.earlyBranchResolve)
         return std::nullopt;
-    noteWindowOp(seq, now);
-    CONTEST_SHADOW_RECORD(sys->shadowLog(), self, FifoState, true,
-                          "CoreContestUnit::externalBranchResolve");
 
     // Re-polled with no FIFO change since the last answer: the first
     // poll already performed every discard and arrival times are
@@ -141,8 +117,6 @@ CoreContestUnit::confirmEarlyResolve(InstSeq seq, TimePs now)
              "confirmEarlyResolve(%llu): source %u no longer holds "
              "the arrived branch",
              static_cast<unsigned long long>(seq), *earlyResolveSrc);
-    CONTEST_SHADOW_RECORD(sys->shadowLog(), self, FifoState, true,
-                          "CoreContestUnit::confirmEarlyResolve");
     ++fifoGen;
     fifo.pop();
     ++stats_.paired;
@@ -154,18 +128,6 @@ CoreContestUnit::onRetire(InstSeq seq, const TraceInst &inst,
                           TimePs now)
 {
     (void)inst;
-    if (inWindow) {
-        // Deferred: the lead-frontier update and the GRB broadcast
-        // are replayed by the commit phase in (time, core-id) order.
-        // A window never parks a core, so the unit is live here.
-        panic_if(stats_.saturated,
-                 "core %u retired while parked inside a window", self);
-        ++stats_.broadcasts;
-        appendWindowEvent(false, seq.count());
-        return;
-    }
-    // Sequential path: the system applies this immediately, in the
-    // very tick order the calendar just decided.
     sys->noteRetire(self, seq);
     if (stats_.saturated)
         return;
@@ -176,15 +138,7 @@ CoreContestUnit::onRetire(InstSeq seq, const TraceInst &inst,
 bool
 CoreContestUnit::storeCanCommit(TimePs)
 {
-    // The window bound stops short of the first store the queue
-    // could refuse, so inside a window the answer is always yes —
-    // exactly what the sequential schedule would have answered.
-    // (Reading frozen shared state in-window is legal; record it so
-    // the shadow log exercises its read path on clean runs.)
-    CONTEST_SHADOW_RECORD(sys->shadowLog(), kShadowGlobalOwner,
-                          StoreQueue, false,
-                          "CoreContestUnit::storeCanCommit");
-    if (inWindow || stats_.saturated)
+    if (stats_.saturated)
         return true;
     return sys->storeQueue().canAccept(self);
 }
@@ -192,31 +146,16 @@ CoreContestUnit::storeCanCommit(TimePs)
 void
 CoreContestUnit::onStoreCommit(Addr addr, TimePs)
 {
-    if (inWindow && !injectInWindowStores) {
-        appendWindowEvent(true, addr);
-        return;
-    }
     if (stats_.saturated)
         return;
-    // Sequential path, ordered by the calendar like noteRetire above.
-    CONTEST_SHADOW_RECORD(sys->shadowLog(), kShadowGlobalOwner,
-                          StoreQueue, true,
-                          "CoreContestUnit::onStoreCommit");
     sys->storeQueue().performStore(self, addr);
 }
 
 std::optional<TimePs>
 CoreContestUnit::onSyscall(InstSeq seq, TimePs now)
 {
-    panic_if(inWindow,
-             "core %u reached syscall %llu inside a window (the "
-             "window bound must stop short of exceptions)",
-             self, static_cast<unsigned long long>(seq));
     if (stats_.saturated)
         return now;
-    CONTEST_SHADOW_RECORD(sys->shadowLog(), kShadowGlobalOwner,
-                          ExceptionState, true,
-                          "CoreContestUnit::onSyscall");
     return sys->exceptions().arrive(self, seq, now);
 }
 
@@ -224,15 +163,9 @@ void
 CoreContestUnit::receiveResult(CoreId src, InstSeq seq,
                                TimePs arrival)
 {
-    panic_if(inWindow,
-             "core %u received a live broadcast inside a window "
-             "(broadcasts must be deferred to the commit phase)",
-             self);
     if (stats_.saturated)
         return;
     panic_if(src == self, "core %u received its own result", self);
-    CONTEST_SHADOW_RECORD(sys->shadowLog(), self, FifoState, true,
-                          "CoreContestUnit::receiveResult");
     // Only a push that lands at the head (empty FIFO) can change a
     // branch-resolve poll's answer; a deeper entry is invisible
     // until the head moves (every head move bumps fifoGen itself).
@@ -266,105 +199,6 @@ CoreContestUnit::receiveResult(CoreId src, InstSeq seq,
         ++stats_.discarded;
         bool pushed = fifos[src].push(seq, arrival);
         panic_if(!pushed, "ResultFifo refill failed after drop");
-    }
-}
-
-void
-CoreContestUnit::beginWindow(TimePs horizon)
-{
-    (void)horizon;
-    inWindow = true;
-    winTickAt.clear();
-    winTickSkipped.clear();
-    winTickEvEnd.clear();
-    winEvArg.clear();
-    winEvStoreW.clear();
-    lastOpValid = false;
-}
-
-void
-CoreContestUnit::endWindow()
-{
-    inWindow = false;
-}
-
-void
-CoreContestUnit::noteWindowOp(InstSeq seq, TimePs now)
-{
-    if (!inWindow)
-        return;
-    lastOpValid = true;
-    lastOpAt = now;
-    lastOpArg = seq;
-}
-
-void
-CoreContestUnit::appendWindowEvent(bool is_store, std::uint64_t arg)
-{
-    const std::size_t i = winEvArg.size();
-    if ((i & 63) == 0)
-        winEvStoreW.push_back(0);
-    if (is_store)
-        bitSet(winEvStoreW, i);
-    winEvArg.push_back(arg);
-}
-
-bool
-CoreContestUnit::reserveWindowLogs(std::size_t ticks,
-                                   std::size_t events)
-{
-    const bool grew = ticks > winTickAt.capacity()
-        || events > winEvArg.capacity()
-        || events / 64 + 1 > winEvStoreW.capacity();
-    winTickAt.reserve(ticks);
-    winTickSkipped.reserve(ticks);
-    winTickEvEnd.reserve(ticks);
-    winEvArg.reserve(events);
-    winEvStoreW.reserve(events / 64 + 1);
-    return grew;
-}
-
-void
-CoreContestUnit::recordTick(TimePs at, Cycles skipped)
-{
-    winTickAt.push_back(at);
-    winTickSkipped.push_back(skipped);
-    winTickEvEnd.push_back(static_cast<std::uint32_t>(winEvArg.size()));
-}
-
-void
-CoreContestUnit::commitDeferredResult(CoreId src, InstSeq seq,
-                                      TimePs arrival, TimePs push_at)
-{
-    panic_if(stats_.saturated,
-             "deferred result delivered to parked core %u", self);
-    panic_if(src == self, "core %u received its own result", self);
-
-    CONTEST_SHADOW_RECORD(sys->shadowLog(), self, FifoState, true,
-                          "CoreContestUnit::commitDeferredResult");
-    ++fifoGen;
-    bool pushed = fifos[src].push(seq, arrival);
-    panic_if(!pushed,
-             "window commit overflowed FIFO %u->%u (the window "
-             "bound must keep pushes within the free slack)",
-             src, self);
-
-    // Scenario #1 replay: an own FIFO operation that ordered after
-    // the push edge (time, then core id) would have popped and
-    // discarded this entry in the sequential schedule — its argument
-    // is provably above every in-window push (the "late" regime of
-    // the pair bound). Ops that ordered before the push leave it
-    // buffered, exactly as live pushing would have.
-    bool op_after = lastOpValid
-        && (push_at < lastOpAt
-            || (push_at == lastOpAt && src < self));
-    if (op_after && seq < lastOpArg) {
-        panic_if(fifos[src].headSeq() != seq,
-                 "window commit: deferred discard of %llu is not at "
-                 "the FIFO head",
-                 static_cast<unsigned long long>(seq));
-        fifos[src].pop();
-        ++stats_.discarded;
     }
 }
 

@@ -20,7 +20,6 @@
 #include <optional>
 #include <vector>
 
-#include "common/soa.hh"
 #include "contest/config.hh"
 #include "contest/result_fifo.hh"
 #include "core/contest_iface.hh"
@@ -41,7 +40,7 @@ struct UnitStats
 };
 
 /** ContestHooks implementation backing one core. */
-class CoreContestUnit : public ContestHooks, public WindowPhased
+class CoreContestUnit : public ContestHooks
 {
   public:
     /**
@@ -67,95 +66,6 @@ class CoreContestUnit : public ContestHooks, public WindowPhased
     std::optional<TimePs> onSyscall(InstSeq seq, TimePs now) override;
     bool parked() const override { return stats_.saturated; }
     /** @} */
-
-    /** @name WindowPhased (parallel windowed execution)
-     *
-     * Between beginWindow() and endWindow() the unit defers every
-     * cross-core side effect: onRetire and onStoreCommit append to
-     * the deferred-event log instead of broadcasting/performing, and
-     * storeCanCommit answers true outright (the window bound
-     * guarantees the store queue would have accepted). The unit also
-     * remembers the (time, arg) of its latest own FIFO operation so
-     * the commit phase can replay Scenario #1 discards of results
-     * pushed "behind" it. onSyscall, receiveResult and parking are
-     * impossible inside a window by construction and panic.
-     */
-    /** @{ */
-    void beginWindow(TimePs horizon) override;
-    void endWindow() override;
-    /** @} */
-
-    /** Record one executed tick (called by the window lane loop). */
-    void recordTick(TimePs at, Cycles skipped);
-
-    /**
-     * Pre-reserve the window logs for at most @p ticks executed
-     * ticks and @p events deferred events, so the lane loop performs
-     * no heap allocation even before the buffers have grown to their
-     * high-water mark (clear() already preserves capacity across
-     * windows; this covers the first window at each new size).
-     * Returns true when some log's capacity actually grew — the
-     * steady-state allocation probe classifies such a window as
-     * warm-up, since a new high-water mark is by definition not
-     * steady state.
-     */
-    bool reserveWindowLogs(std::size_t ticks, std::size_t events);
-
-    /** @name Last window's logs (structure-of-arrays)
-     *
-     * The tick log is three parallel arrays (global time, idle
-     * cycles elided right after the tick, and the exclusive end of
-     * this tick's slice of the event log); the deferred-event log is
-     * an argument array (stream position for retires, effective
-     * address for stores) plus an is-store mask word per 64 events.
-     * The commit phase's k-way merge touches only the time array
-     * until a tick actually wins, so a lane's whole log scan stays
-     * within a few cachelines.
-     */
-    /** @{ */
-    std::size_t windowTickCount() const { return winTickAt.size(); }
-    TimePs windowTickAt(std::size_t i) const { return winTickAt[i]; }
-    /** The packed tick-time array itself, for the commit merge's
-     *  inner scan (valid until the next beginWindow/reserve). */
-    const TimePs *windowTickData() const { return winTickAt.data(); }
-    Cycles
-    windowTickSkipped(std::size_t i) const
-    {
-        return winTickSkipped[i];
-    }
-    std::uint32_t
-    windowTickEvEnd(std::size_t i) const
-    {
-        return winTickEvEnd[i];
-    }
-    bool
-    windowEventIsStore(std::uint32_t e) const
-    {
-        return bitTest(winEvStoreW, e);
-    }
-    std::uint64_t
-    windowEventArg(std::uint32_t e) const
-    {
-        return winEvArg[e];
-    }
-    /** @} */
-
-    /**
-     * Commit-phase delivery of one result core @p src retired inside
-     * the window at edge (@p push_at, src). If an own FIFO operation
-     * of this core ordered after that edge with a larger stream
-     * position, the sequential schedule would have popped and
-     * discarded the entry (Scenario #1) — replay that here.
-     */
-    void commitDeferredResult(CoreId src, InstSeq seq, TimePs arrival,
-                              TimePs push_at);
-
-    /** Buffered (including in-flight) entries from @p src; the
-     *  window bound keeps a sender's pushes within this slack. */
-    std::size_t fifoDepth(CoreId src) const
-    {
-        return fifos[src].size();
-    }
 
     /**
      * A result from core @p src arrives on this core's incoming GRB
@@ -183,20 +93,9 @@ class CoreContestUnit : public ContestHooks, public WindowPhased
   private:
     void park(TimePs now);
 
-    /** Remember an own FIFO operation (in-window only). */
-    void noteWindowOp(InstSeq seq, TimePs now);
-
     CoreId self;
     const ContestConfig &cfg;
     ContestSystem *sys;
-    /** Fault injection for the shadow checker's own death test:
-     *  when set (CONTEST_CHECK_WINDOWS builds reading the
-     *  CONTEST_CHECK_WINDOWS_INJECT env knob in the constructor —
-     *  a member, not a function-local static, so gtest death tests
-     *  see it in the forked child), onStoreCommit skips the
-     *  in-window deferral and performs the store live, which the
-     *  shadow log must report as a cross-lane write. */
-    bool injectInWindowStores = false;
     const OooCore *core = nullptr;
     /** Incoming FIFOs indexed by source core id (self unused). */
     std::vector<ResultFifo> fifos;
@@ -225,27 +124,6 @@ class CoreContestUnit : public ContestHooks, public WindowPhased
     InstSeq pollSeq{};
     std::optional<TimePs> pollBest;
     std::optional<CoreId> pollBestSrc;
-    /** @} */
-
-    /** Append one deferred cross-core event (in-window only). */
-    void appendWindowEvent(bool is_store, std::uint64_t arg);
-
-    /** @name Window-deferred state (valid while inWindow and, for
-     *  the logs, until the next beginWindow) */
-    /** @{ */
-    bool inWindow = false;
-    SoaVec<TimePs> winTickAt;
-    SoaVec<Cycles> winTickSkipped;
-    SoaVec<std::uint32_t> winTickEvEnd;
-    SoaVec<std::uint64_t> winEvArg;
-    SoaVec<std::uint64_t> winEvStoreW;
-    /** Latest own FIFO operation (onFetch / externalBranchResolve)
-     *  in the window: its global time and stream position. Hook args
-     *  never sink below their window-entry floor, so one record
-     *  decides every deferred Scenario #1 discard. */
-    bool lastOpValid = false;
-    TimePs lastOpAt{};
-    InstSeq lastOpArg{};
     /** @} */
 };
 

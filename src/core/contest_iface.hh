@@ -29,17 +29,7 @@ struct FetchOutcome
     bool injected = false;
 };
 
-/**
- * Per-core contesting hooks; all methods are called in core order.
- *
- * Sequencing contract (the windowed parallel scheduler depends on
- * it): within one tick the core calls hooks with stream positions
- * that never exceed nextFetchSeq() + width - 1, the fetch counter
- * advances by at most width per tick, and retirement advances by at
- * most width per tick. These reach bounds are what lets the
- * contest system prove a span of ticks free of cross-core
- * interaction and execute it on concurrent workers.
- */
+/** Per-core contesting hooks; all methods are called in core order. */
 class ContestHooks
 {
   public:
@@ -100,35 +90,6 @@ class ContestHooks
      * synchronizing store queue.
      */
     virtual bool parked() const = 0;
-};
-
-/**
- * The per-window execution phases of the parallel contest scheduler.
- *
- * A window is a span of global time [W0, W1) proved free of
- * cross-core interaction. Between beginWindow() and endWindow() a
- * hook implementation must touch only state owned by its own core —
- * cross-core effects (broadcasts, lead-frontier updates, store-queue
- * traffic) are recorded in a per-lane deferred-event log (a
- * structure-of-arrays of (is-store bit, seq-or-addr argument) —
- * DESIGN.md §13) instead of applied. The owner then replays all
- * cores' events in (time, core-id) order — exactly the sequential
- * event loop's tick order — which makes the parallel schedule
- * bit-identical to the sequential one.
- */
-class WindowPhased
-{
-  public:
-    virtual ~WindowPhased() = default;
-
-    /** Enter deferred mode: cross-core effects are recorded, not
-     *  applied, until endWindow(). @p horizon is the window's
-     *  exclusive upper time bound W1 (for assertions/telemetry). */
-    virtual void beginWindow(TimePs horizon) = 0;
-
-    /** Leave deferred mode. The recorded events stay available to
-     *  the owner's commit phase until the next beginWindow(). */
-    virtual void endWindow() = 0;
 };
 
 } // namespace contest

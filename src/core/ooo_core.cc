@@ -10,7 +10,7 @@ namespace contest
 
 // The SoA field arrays are indexed by raw ring position; any padding
 // or size drift would silently change the cache footprint the layout
-// was sized for (DESIGN.md §13).
+// was sized for (DESIGN.md §12).
 static_assert(sizeof(Cycles) == sizeof(std::uint64_t)
               && alignof(Cycles) == alignof(std::uint64_t),
               "Cycles must stay a bare uint64 wrapper: the ROB/IQ "
@@ -91,7 +91,7 @@ OooCore::OooCore(const CoreConfig &core_config, TracePtr trace_ptr,
     // Pool reservations are the structural in-flight bounds: wakeup
     // events are per IQ operand, completion events per ROB entry,
     // MSHR releases per LSQ slot — so steady-state pushes never
-    // allocate (the zero-alloc window criterion, DESIGN.md §14).
+    // allocate.
     timedReady.init(event_span, 2 * cfg.iqSize + 8);
     completions.init(event_span, cfg.robSize + 8);
     mshrReleases.init(event_span, cfg.lsqSize + 8);
@@ -212,9 +212,7 @@ OooCore::markIqStale(InstSeq seq, int slot)
     const auto it =
         std::upper_bound(staleSeqs.begin(), staleSeqs.end(), seq);
     const auto at = it - staleSeqs.begin();
-    // contest-lint: allow(window-phase)
     staleSeqs.insert(it, seq);
-    // contest-lint: allow(window-phase)
     staleSlots.insert(staleSlots.begin() + at, slot);
 }
 
@@ -432,7 +430,6 @@ OooCore::doCommit(TimePs now)
         if (retireCb)
             // Region-log callback; only the single-core harness
             // attaches one, contested cores leave it empty.
-            // contest-lint: allow(unknown-call)
             retireCb(seq, now);
 
         ++robHeadSeq;

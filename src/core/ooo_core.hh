@@ -17,7 +17,7 @@
  * charges the same resolution + front-end-refill penalty to baseline
  * and contested runs alike.
  *
- * Hot-path structure (DESIGN.md §13): all per-instruction pipeline
+ * Hot-path structure (DESIGN.md §12): all per-instruction pipeline
  * state lives in structure-of-arrays form. The ROB and fetch queue
  * are implicit rings — in-flight stream positions are contiguous, so
  * an entry's index is just `seq & ringMask` and no per-entry seq is
@@ -157,22 +157,6 @@ class OooCore
      *  paper's (checkpoint-corrected) fetch counter. */
     InstSeq nextFetchSeq() const { return fetchSeq; }
 
-    /**
-     * Lower bound on the stream position of the next contesting-hook
-     * argument this core can produce: the stalled branch being
-     * polled through externalBranchResolve, or the fetch counter.
-     * Hook arguments are nondecreasing over time, so everything the
-     * core asks its FIFOs about from now on is at or above this —
-     * the windowed parallel scheduler uses it to prove that another
-     * core's in-window broadcasts stay strictly late (pure Scenario
-     * #1 discards) for the whole window.
-     */
-    InstSeq
-    hookArgFloor() const
-    {
-        return stalledBranch ? *stalledBranch : fetchSeq;
-    }
-
     /** Core cycles elapsed. */
     Cycles cycle() const { return curCycle; }
 
@@ -298,7 +282,6 @@ class OooCore
                                std::size_t count) {
             return scanBits(readyW, base_pos, base_pos + count,
                             [&](std::size_t p) {
-                                // contest-lint: allow(unknown-call)
                                 return fn(base_seq + (p - base_pos));
                             });
         };

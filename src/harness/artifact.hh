@@ -74,10 +74,10 @@ struct ArtifactMeta
     unsigned jobs = 1;
     bool fast = false;
     /** Hardware threads on the producing machine (0 = unknown);
-     *  informational only (never compared). Wall-clock scalars —
-     *  the contest_speedup_* family above all — are meaningless
-     *  without it: a 4-lane "speedup" below 1.0 on a 1-CPU box is
-     *  overhead accounting, not a parallelism verdict. */
+     *  informational only (never compared). Wall-clock scalars
+     *  taken at several job counts, such as BENCH_serving's
+     *  requests/s, compare only between machines with the same
+     *  count. */
     unsigned cpus = 0;
     /** `git describe --always --dirty` of the producing tree;
      *  informational only (never compared). */

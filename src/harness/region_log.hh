@@ -41,7 +41,6 @@ class RegionLog
      * Observe one retirement (wired to OooCore::setRetireCallback).
      * Every regionInsts-th retirement closes a region.
      */
-    CONTEST_WINDOW_SAFE // single-core harness only, never contested
     void
     onRetire(InstSeq seq, TimePs now)
     {

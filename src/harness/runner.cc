@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/env.hh"
 #include "common/log.hh"
 
 namespace contest
@@ -37,7 +36,7 @@ contestLabel(const std::string &bench,
 
 Runner::Runner(std::uint64_t trace_len, std::uint64_t seed,
                ThreadPool *pool)
-    : len(trace_len), seed_(seed), contestJobs_(contestJobs()),
+    : len(trace_len), seed_(seed),
       pool_(pool != nullptr ? pool : &ThreadPool::global())
 {
     fatal_if(trace_len < RegionLog::regionInsts,
@@ -137,16 +136,12 @@ Runner::contested(const std::string &bench,
     // One canonical string serves as the in-memory memo key and, on
     // a miss, the persistent-cache key: two contested() calls agree
     // on it iff they are the same deterministic simulation.
-    std::string key = ResultCache::contestKey(bench, cores, config,
-                                              seed_, use_len);
-    ContestEntry *entry =
-        contests.entryFor(HashedKey(std::move(key)));
+    const std::string key = ResultCache::contestKey(
+        bench, cores, config, seed_, use_len);
+    ContestEntry *entry = contests.entryFor(HashedKey(key));
     std::call_once(entry->once, [&] {
         auto start = SimTimeline::now();
-        const std::string disk_key = ResultCache::contestKey(
-            bench, cores, config, seed_, use_len);
-        if (disk != nullptr
-            && disk->loadContest(disk_key, entry->result)) {
+        if (disk != nullptr && disk->loadContest(key, entry->result)) {
             ++contestDiskHitCount;
             if (timeline_ != nullptr)
                 timeline_->record(SimTimeline::Kind::Contest,
@@ -156,23 +151,15 @@ Runner::contested(const std::string &bench,
         }
 
         ContestSystem sys(cores, trace(bench, use_len), config);
-        entry->result = sys.run(contestJobs_);
+        entry->result = sys.run();
         ++contestsDone;
 
         if (disk != nullptr)
-            disk->storeContest(disk_key, entry->result);
-        if (timeline_ != nullptr) {
+            disk->storeContest(key, entry->result);
+        if (timeline_ != nullptr)
             timeline_->record(SimTimeline::Kind::Contest,
                               contestLabel(bench, cores), queued,
                               start, SimTimeline::now(), false);
-            // WindowStats live on the system, not the cached result:
-            // they describe this machine's execution, so persisting
-            // them alongside the bit-exact ContestResult would be
-            // wrong. Read them off the live system instead.
-            if (sys.windowStats().active())
-                timeline_->recordWindowStats(
-                    contestLabel(bench, cores), sys.windowStats());
-        }
     });
     return entry->result;
 }

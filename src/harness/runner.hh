@@ -129,11 +129,6 @@ class Runner
     /** Trace length in use. */
     std::uint64_t traceLen() const { return len; }
 
-    /** Per-contest worker budget (--contest-jobs), snapshotted at
-     *  construction so every contested run of a suite uses the same
-     *  setting regardless of when it is scheduled. */
-    unsigned perContestJobs() const { return contestJobs_; }
-
     /** Workload seed in use. */
     std::uint64_t workloadSeed() const { return seed_; }
 
@@ -253,7 +248,6 @@ class Runner
 
     std::uint64_t len;
     std::uint64_t seed_;
-    unsigned contestJobs_;
     ThreadPool *pool_;
     ResultCache *disk = nullptr;
     SimTimeline *timeline_ = nullptr;

@@ -22,29 +22,6 @@ SimTimeline::record(Kind kind, std::string label,
     recorded.push_back(std::move(s));
 }
 
-void
-SimTimeline::recordWindowStats(std::string label,
-                               const WindowStats &stats)
-{
-    std::lock_guard<std::mutex> lock(mu);
-    windows.push_back(WindowEntry{std::move(label), stats});
-}
-
-std::vector<SimTimeline::WindowEntry>
-SimTimeline::windowEntries() const
-{
-    std::vector<WindowEntry> out;
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        out = windows;
-    }
-    std::sort(out.begin(), out.end(),
-              [](const WindowEntry &a, const WindowEntry &b) {
-                  return a.label < b.label;
-              });
-    return out;
-}
-
 std::vector<SimTimeline::Span>
 SimTimeline::spans() const
 {
@@ -116,42 +93,6 @@ SimTimeline::toJson(unsigned jobs) const
         arr.push(std::move(e));
     }
     root.set("spans", std::move(arr));
-
-    JsonValue warr = JsonValue::array();
-    for (const WindowEntry &we : windowEntries()) {
-        const WindowStats &w = we.stats;
-        JsonValue e = JsonValue::object();
-        e.set("label", JsonValue::str(we.label));
-        auto num = [&](const char *key, double v) {
-            e.set(key, JsonValue::number(v));
-        };
-        num("windows", static_cast<double>(w.windows));
-        num("window_ticks", static_cast<double>(w.windowTicks));
-        num("lane_runs", static_cast<double>(w.laneRuns));
-        num("seq_steps", static_cast<double>(w.seqSteps));
-        num("burst_steps", static_cast<double>(w.burstSteps));
-        num("degenerate_fallbacks",
-            static_cast<double>(w.degenerateFallbacks));
-        num("seq_required_fallbacks",
-            static_cast<double>(w.seqRequiredFallbacks));
-        num("cap_growths", static_cast<double>(w.capGrowths));
-        num("final_cap_ticks", static_cast<double>(w.finalCapTicks));
-        num("horizon_recomputes",
-            static_cast<double>(w.horizonRecomputes));
-        num("horizon_reuses", static_cast<double>(w.horizonReuses));
-        num("mean_window_ticks", w.meanWindowTicks());
-        num("oracle_sec", w.oracleSec);
-        num("horizon_sec", w.horizonSec);
-        num("lane_sec", w.laneSec);
-        num("commit_sec", w.commitSec);
-        JsonValue hist = JsonValue::array();
-        for (unsigned b = 0; b < WindowStats::kHistBuckets; ++b)
-            hist.push(JsonValue::number(
-                static_cast<double>(w.ticksHist[b])));
-        e.set("ticks_hist_log2", std::move(hist));
-        warr.push(std::move(e));
-    }
-    root.set("window_stats", std::move(warr));
     return root;
 }
 
@@ -186,37 +127,6 @@ SimTimeline::renderReport(unsigned jobs) const
                       span.startSec - span.queuedSec,
                       span.cached ? " [disk]" : "");
         out += buf;
-    }
-
-    const std::vector<WindowEntry> wes = windowEntries();
-    if (!wes.empty()) {
-        out += "== windowed contests (oracle/horizon/lane/commit "
-               "overhead split):\n";
-        for (const WindowEntry &we : wes) {
-            const WindowStats &w = we.stats;
-            std::snprintf(
-                buf, sizeof(buf),
-                "   %-28s %8llu win (mean %6.1f ticks, cap %llu), "
-                "%llu seq (%llu burst), %llu degen\n",
-                we.label.c_str(),
-                static_cast<unsigned long long>(w.windows),
-                w.meanWindowTicks(),
-                static_cast<unsigned long long>(w.finalCapTicks),
-                static_cast<unsigned long long>(w.seqSteps),
-                static_cast<unsigned long long>(w.burstSteps),
-                static_cast<unsigned long long>(
-                    w.degenerateFallbacks));
-            out += buf;
-            std::snprintf(
-                buf, sizeof(buf),
-                "   %-28s oracle %.3f s, horizon %.3f s (%llu/%llu "
-                "recompute/reuse), lane %.3f s, commit %.3f s\n",
-                "", w.oracleSec, w.horizonSec,
-                static_cast<unsigned long long>(w.horizonRecomputes),
-                static_cast<unsigned long long>(w.horizonReuses),
-                w.laneSec, w.commitSec);
-            out += buf;
-        }
     }
     return out;
 }

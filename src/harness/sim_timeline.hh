@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "common/json.hh"
-#include "contest/window_stats.hh"
 
 namespace contest
 {
@@ -83,22 +82,6 @@ class SimTimeline
                 Clock::time_point queued, Clock::time_point start,
                 Clock::time_point end, bool cached);
 
-    /** One windowed contested run's scheduling counters. */
-    struct WindowEntry
-    {
-        std::string label;
-        WindowStats stats;
-    };
-
-    /** Record the WindowStats of a windowed contested run (called
-     *  once per run that took the windowed path). */
-    void recordWindowStats(std::string label,
-                           const WindowStats &stats);
-
-    /** Snapshot of all recorded window-stat entries, in label
-     *  order (reproducible across schedules). */
-    std::vector<WindowEntry> windowEntries() const;
-
     /** Snapshot of all spans, ordered by queue time (label breaks
      *  ties so the order is reproducible). */
     std::vector<Span> spans() const;
@@ -123,7 +106,6 @@ class SimTimeline
     Clock::time_point epoch;
     mutable std::mutex mu;
     std::vector<Span> recorded;
-    std::vector<WindowEntry> windows;
 };
 
 } // namespace contest

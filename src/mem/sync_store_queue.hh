@@ -86,9 +86,8 @@ class SyncStoreQueue
     /**
      * Record merged stores for later drainMerged() retrieval. Off by
      * default: recording grows an unbounded log that nothing in a
-     * normal contested run ever drains, and it would put a heap
-     * allocation on the windowed commit path. Tests that verify the
-     * merged stream switch it on before running.
+     * normal contested run ever drains. Tests that verify the merged
+     * stream switch it on before running.
      */
     void setRecordMerged(bool record) { recordMerged = record; }
 

@@ -1,10 +1,10 @@
 /**
  * @file
- * Batched pre-decode of the instruction stream (DESIGN.md §13).
+ * Batched pre-decode of the instruction stream (DESIGN.md §12).
  *
  * The fetch stage used to re-derive "is this a load / store / branch
  * / syscall, does it write a register" from OpClass for every
- * instruction, every cycle, on every lane. A trace is immutable once
+ * instruction, every cycle, on every core. A trace is immutable once
  * generated, so those predicates are computed exactly once at trace
  * construction and stored as one flags byte per instruction in an
  * array parallel to the TraceInst array. fetch() then pulls a

@@ -63,10 +63,7 @@ class Trace
         flags_.reserve(n);
     }
 
-    /** Append one instruction produced by the given phase id.
-     *  Trace construction happens before any simulation; the call
-     *  graph reaches this only through the bare-name collision with
-     *  MinHeap::push. contest-lint: window-safe */
+    /** Append one instruction produced by the given phase id. */
     void
     push(const TraceInst &inst, std::uint8_t phase_id)
     {

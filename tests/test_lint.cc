@@ -1,12 +1,9 @@
 /**
  * @file
- * Tests for the contest_lint engines: the line rules
- * (tools/lint_core.hh) and the window-phase call-graph analyzer
- * (tools/lint_callgraph.hh). Each rule must fire on the canonical
- * bad shape, stay quiet on the idiomatic fix, and honor the
- * allow-comment escape hatches (line, file, and CONTEST_WINDOW_SAFE
- * for the call-graph engine). The seeded fixtures in
- * tests/lint_fixtures/ are linted too, so the binary's
+ * Tests for contest_lint's line rules (tools/lint_core.hh). Each rule
+ * must fire on the canonical bad shape, stay quiet on the idiomatic
+ * fix, and honor the allow-comment escape hatch. The seeded fixture
+ * in tests/lint_fixtures/ is linted too, so the binary's
  * non-zero-on-fixture acceptance check can never rot.
  */
 
@@ -16,7 +13,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "../tools/lint_callgraph.hh"
 #include "../tools/lint_core.hh"
 
 namespace contest::lint
@@ -297,170 +293,6 @@ TEST(LintCoreContainer, FixtureContentTripsUnderCorePath)
         fired(lintFile("tests/lint_fixtures/bad_example.hh",
                        ss.str()),
               "core-soa"));
-}
-
-// ---- window-phase call-graph engine ----------------------------
-// (tools/lint_callgraph.hh; the transitive successor of the old
-// one-hop cross-core-mutation rule)
-
-std::string
-readFixture(const std::string &name)
-{
-    std::ifstream in(std::string(CONTEST_LINT_FIXTURE_DIR)
-                     + "/callgraph/" + name);
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    EXPECT_FALSE(ss.str().empty())
-        << "missing callgraph fixture " << name;
-    return ss.str();
-}
-
-std::vector<Violation>
-analyzeFixtures(const std::vector<std::string> &names,
-                const std::vector<std::string> &seeds)
-{
-    cg::CallGraphAnalyzer an;
-    for (const auto &n : names)
-        an.addFile("tests/lint_fixtures/callgraph/" + n,
-                   readFixture(n));
-    cg::AnalyzeOptions opts;
-    opts.seeds = seeds;
-    return an.analyze(opts);
-}
-
-TEST(LintCallGraph, FlagsDirectMutatorCall)
-{
-    auto v = analyzeFixtures({"direct.cc"}, {"MiniCore::laneTick"});
-    ASSERT_EQ(v.size(), 1u);
-    EXPECT_EQ(v[0].rule, "window-phase");
-    EXPECT_NE(v[0].message.find("performStore"), std::string::npos);
-}
-
-TEST(LintCallGraph, FlagsTransitiveMutatorWithFullPath)
-{
-    // The mutator sits three frames below the entry point — the
-    // shape the old one-hop regex could not see. The finding must
-    // print the full caller chain.
-    auto v =
-        analyzeFixtures({"transitive.cc"}, {"DeepCore::laneTick"});
-    ASSERT_EQ(v.size(), 1u);
-    EXPECT_EQ(v[0].rule, "window-phase");
-    EXPECT_NE(v[0].message.find(
-                  "DeepCore::laneTick -> DeepCore::stepIssue -> "
-                  "DeepCore::stepCommit -> DeepCore::stepRetire "
-                  "-> noteRetire"),
-              std::string::npos)
-        << v[0].message;
-}
-
-TEST(LintCallGraph, UnresolvableVirtualCallIsReportedNotIgnored)
-{
-    auto v =
-        analyzeFixtures({"virtual_call.cc"}, {"VirtCore::laneTick"});
-    ASSERT_EQ(v.size(), 1u);
-    EXPECT_EQ(v[0].rule, "unknown-call");
-    EXPECT_NE(v[0].message.find("deliver"), std::string::npos);
-}
-
-TEST(LintCallGraph, WindowSafeLeafIsNotEntered)
-{
-    // scratch() allocates and is flagged; the identically-shaped
-    // audited() carries CONTEST_WINDOW_SAFE and must not be.
-    auto v =
-        analyzeFixtures({"safe_leaf.cc"}, {"LeafCore::laneTick"});
-    ASSERT_EQ(v.size(), 1u);
-    EXPECT_EQ(v[0].rule, "window-phase");
-    EXPECT_NE(v[0].message.find("LeafCore::scratch"),
-              std::string::npos);
-    EXPECT_EQ(v[0].message.find("audited"), std::string::npos);
-}
-
-TEST(LintCallGraph, AllowFileWaiverDoesNotLeakAcrossFiles)
-{
-    // Both files hold the same violation; only the unwaived one may
-    // be reported.
-    auto v = analyzeFixtures(
-        {"allow_file.cc", "allow_file_leak.cc"},
-        {"WaivedCore::laneTick", "LeakCore::laneTick"});
-    ASSERT_EQ(v.size(), 1u);
-    EXPECT_EQ(v[0].file,
-              "tests/lint_fixtures/callgraph/allow_file_leak.cc");
-    EXPECT_EQ(v[0].rule, "window-phase");
-}
-
-TEST(LintCallGraph, LineAllowPrunesTraversalEntirely)
-{
-    // An allowed call site is an audited boundary: the callee's own
-    // violations must not surface through it.
-    cg::CallGraphAnalyzer an;
-    an.addFile("src/contest/a.cc",
-               "struct Q { void performStore(unsigned, unsigned); };\n"
-               "struct C {\n"
-               "    Q *q;\n"
-               "    void laneTick() {\n"
-               "        // contest-lint: allow(window-phase)\n"
-               "        helper();\n"
-               "    }\n"
-               "    void helper() { q->performStore(0, 1); }\n"
-               "};\n");
-    cg::AnalyzeOptions opts;
-    opts.seeds = {"C::laneTick"};
-    EXPECT_TRUE(an.analyze(opts).empty());
-}
-
-TEST(LintCallGraph, UnmatchedSeedIsItselfAFinding)
-{
-    // Renaming an entry point must not silently disable the
-    // analysis.
-    cg::CallGraphAnalyzer an;
-    an.addFile("src/contest/a.cc", "void tick() {}\n");
-    cg::AnalyzeOptions opts;
-    opts.seeds = {"Gone::laneTick"};
-    auto v = an.analyze(opts);
-    ASSERT_EQ(v.size(), 1u);
-    EXPECT_EQ(v[0].rule, "unknown-call");
-    EXPECT_NE(v[0].message.find("Gone::laneTick"),
-              std::string::npos);
-}
-
-TEST(LintCallGraph, RngAndGlobalWritesAreFlagged)
-{
-    cg::CallGraphAnalyzer an;
-    an.addFile("src/contest/a.cc",
-               "int sharedCounter;\n"
-               "struct C {\n"
-               "    void laneTick() {\n"
-               "        int r = rand();\n"
-               "        sharedCounter += r;\n"
-               "    }\n"
-               "};\n");
-    cg::AnalyzeOptions opts;
-    opts.seeds = {"C::laneTick"};
-    auto v = an.analyze(opts);
-    EXPECT_TRUE(fired(v, "window-phase"));
-    ASSERT_EQ(v.size(), 2u);
-    EXPECT_NE(v[0].message.find("rand"), std::string::npos);
-    EXPECT_NE(v[1].message.find("sharedCounter"),
-              std::string::npos);
-}
-
-TEST(LintCallGraph, RealSeedsResolveInTheRepoSources)
-{
-    // The default seed list must keep matching the real tree: parse
-    // the two seed-bearing sources and analyze with defaults. Any
-    // unmatched seed would surface as an (callgraph) finding.
-    cg::CallGraphAnalyzer an;
-    for (const char *rel :
-         {"/../src/core/ooo_core.cc", "/../src/contest/unit.cc"}) {
-        std::ifstream in(std::string(CONTEST_LINT_FIXTURE_DIR)
-                         + "/.." + rel);
-        std::ostringstream ss;
-        ss << in.rdbuf();
-        ASSERT_FALSE(ss.str().empty()) << rel;
-        an.addFile(rel, ss.str());
-    }
-    for (const auto &v : an.analyze())
-        EXPECT_NE(v.file, "(callgraph)") << v.message;
 }
 
 TEST(LintPanicMessage, RequiresInvariantNamingMessage)

@@ -138,9 +138,9 @@ TEST(Interrupts, DeterministicWithRefork)
 
 TEST(Interrupts, RejectsPeriodShorterThanHandler)
 {
-    // Re-exec instead of fork: with CONTEST_CONTEST_JOBS > 1 the
-    // contests above ran worker threads, and forking a threaded
-    // process crashes in the child after the expected fatal fires.
+    // Re-exec instead of fork: the Runner above started the
+    // process-wide thread pool, and forking a threaded process
+    // crashes in the child after the expected fatal fires.
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     auto trace = makeBenchmarkTrace("vpr", 9, 2000);
     ContestConfig cfg;

@@ -306,7 +306,9 @@ TEST(ServeServer, ConcurrentIdenticalRequestsSimulateExactlyOnce)
     // same moment. The Runner's per-key once-latch must serialize
     // them onto one simulation; both clients still get full results.
     const unsigned kClients = 2;
-    std::vector<bool> got(kClients, false);
+    // char, not bool: std::vector<bool> packs both clients' flags
+    // into one word, so the two threads' writes would race.
+    std::vector<char> got(kClients, 0);
     std::vector<double> timePs(kClients, 0.0);
     {
         std::vector<std::thread> threads;
@@ -321,7 +323,7 @@ TEST(ServeServer, ConcurrentIdenticalRequestsSimulateExactlyOnce)
                             resp, &threadError))
                     return;
                 if (okFlag(resp)) {
-                    got[i] = true;
+                    got[i] = 1;
                     timePs[i] = resp.at("time_ps").asNumber();
                 }
             });

@@ -4,8 +4,9 @@
  * fast-forwarding enabled has to produce results bit-identical to
  * the per-cycle reference mode (CONTEST_NO_SKIP=1) — timings, every
  * pipeline counter, energy numbers, lead fractions. A seed sweep
- * over single-core runs and contests (including a parking pair and
- * an interrupt-driven refork config) pins that equivalence down.
+ * over single-core runs and contests (including a parking pair, a
+ * drop-oldest pair and an interrupt-driven refork config) pins that
+ * equivalence down.
  */
 
 #include <gtest/gtest.h>
@@ -221,6 +222,25 @@ TEST(SkipEquivalence, ParkingPair)
     auto ref = withSkipMode(true, run);
     EXPECT_TRUE(fast.unitStats[1].saturated);
     expectSameContest(fast, ref, "parking pair");
+}
+
+TEST(SkipEquivalence, DropOldestPair)
+{
+    // With parking disabled, an overflowing FIFO drops its oldest
+    // buffered result inside receiveResult instead of parking.
+    auto trace = makeBenchmarkTrace("crafty", 7, 20000);
+    auto run = [&] {
+        ContestConfig cfg;
+        cfg.fifoCapacity = 64;
+        cfg.parkSaturatedLaggers = false;
+        ContestSystem sys({coreConfigByName("vortex"),
+                           coreConfigByName("mcf")},
+                          trace, cfg);
+        return sys.run();
+    };
+    auto fast = withSkipMode(false, run);
+    auto ref = withSkipMode(true, run);
+    expectSameContest(fast, ref, "drop-oldest pair");
 }
 
 TEST(SkipEquivalence, InterruptRefork)

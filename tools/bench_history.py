@@ -24,10 +24,7 @@ recorded with a separate `"dirty": true` flag, so a rerun on the
 clean tree is still recognized as the same commit.
 
 --check compares the new entry against the previous same-name entry
-and prints GitHub `::warning::` annotations for regressions:
-contest_speedup_* below 1.0 (downgraded to `::notice::` when the run
-had only one CPU — a single-core runner cannot show a parallel
-speedup, so the miss is expected, not a regression), a
+and prints GitHub `::warning::` annotations for regressions: a
 mean_mticks_per_s drop of more than 10%, serving_warm_speedup_*
 below 5.0, and serving_warm_sims_* above 0 (a warm request that
 simulates means the memoization broke). Checks never fail the run
@@ -53,19 +50,7 @@ def split_git_rev(rev):
 def check_entry(entry, previous):
     """Yield (level, message) pairs comparing entry against previous."""
     scalars = entry.get("scalars", {})
-    single_cpu = entry.get("meta", {}).get("cpus") == 1
     for key, value in sorted(scalars.items()):
-        if key.startswith("contest_speedup_") and value < 1.0:
-            if single_cpu:
-                yield ("notice",
-                       f"{key} = {value:.3f} < 1.0 on a 1-CPU "
-                       "runner: expected, the windowed lanes have "
-                       "no core to run on")
-            else:
-                yield ("warning",
-                       f"{key} = {value:.3f} < 1.0: the windowed "
-                       "contest path is a net slowdown at this lane "
-                       "count")
         if key.startswith("serving_warm_speedup_") and value < 5.0:
             yield ("warning",
                    f"{key} = {value:.2f} < 5.0: warm requests "
@@ -117,8 +102,8 @@ def main() -> int:
                     help="history file to append to (default: repo "
                          "root BENCH_history.json)")
     ap.add_argument("--check", action="store_true",
-                    help="emit ::warning:: / ::notice:: annotations "
-                         "for regressions (never fails the run)")
+                    help="emit ::warning:: annotations for "
+                         "regressions (never fails the run)")
     args = ap.parse_args()
 
     result = json.loads(args.result.read_text())

@@ -4,35 +4,26 @@
  *
  * Usage:
  *     contest_lint [--root <repo-root>] [--format=human|json]
- *                  [--budget-ms <n>] [--seed <fn>]... [--no-callgraph]
  *                  [paths...]
  *
- * Two engines run:
- *
- *  1. the line rules in lint_core.hh over the given paths
- *     (default: src bench tests);
- *  2. the window-phase call-graph analysis in lint_callgraph.hh over
- *     <root>/src, seeded with the in-window entry points (override
- *     with repeated --seed; disable with --no-callgraph).
- *
- * Findings print as `file:line: rule: message` (or a JSON array with
- * --format=json, matched by .github/contest-lint-matcher.json in
- * CI), followed by a summary with the wall-clock spent. Exit codes:
- * 0 clean, 1 findings, 2 bad invocation, 3 --budget-ms exceeded.
+ * Runs the line rules in lint_core.hh over the given paths (default:
+ * src bench tests). Findings print as `file:line: rule: message` (or
+ * a JSON array with --format=json, matched by
+ * .github/contest-lint-matcher.json in CI), followed by a summary
+ * with the wall-clock spent. Exit codes: 0 clean, 1 findings, 2 bad
+ * invocation.
  * tests/lint_fixtures/ is skipped unless requested explicitly: it
  * holds intentionally-broken inputs for the linter's own tests.
  */
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "lint_callgraph.hh"
 #include "lint_core.hh"
 
 namespace fs = std::filesystem;
@@ -88,10 +79,7 @@ main(int argc, char **argv)
 
     fs::path root = ".";
     std::vector<std::string> paths;
-    std::vector<std::string> seeds;
     std::string format = "human";
-    long budgetMs = -1;
-    bool callgraph = true;
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg == "--root" && i + 1 < argc) {
@@ -104,24 +92,14 @@ main(int argc, char **argv)
                              format.c_str());
                 return 2;
             }
-        } else if (arg == "--budget-ms" && i + 1 < argc) {
-            budgetMs = std::atol(argv[++i]);
-        } else if (arg == "--seed" && i + 1 < argc) {
-            seeds.push_back(argv[++i]);
-        } else if (arg == "--no-callgraph") {
-            callgraph = false;
         } else if (arg == "--help" || arg == "-h") {
-            std::printf(
-                "usage: contest_lint [--root <dir>] "
-                "[--format=human|json] [--budget-ms <n>]\n"
-                "                    [--seed <fn>]... "
-                "[--no-callgraph] [paths...]\n");
+            std::printf("usage: contest_lint [--root <dir>] "
+                        "[--format=human|json] [paths...]\n");
             return 0;
         } else {
             paths.push_back(arg);
         }
     }
-    const bool explicitPaths = !paths.empty();
     if (paths.empty())
         paths = {"src", "bench", "tests"};
 
@@ -163,39 +141,6 @@ main(int argc, char **argv)
         }
     }
 
-    // ---- window-phase call-graph analysis over src/ -------------
-    // The graph always spans all of src/ (so callees in mem/, bpred/
-    // and common/ resolve) regardless of which paths the line rules
-    // covered; with explicit paths pointing at fixtures, analyze
-    // those instead so the engine's own tests can drive it.
-    if (callgraph) {
-        contest::lint::cg::CallGraphAnalyzer an;
-        fs::path cgBase = root / "src";
-        const bool fixtureRun = explicitPaths
-            && paths.size() == 1
-            && paths[0].find("lint_fixtures") != std::string::npos;
-        if (fixtureRun)
-            cgBase = root / paths[0];
-        if (fs::exists(cgBase)) {
-            for (const auto &e :
-                 fs::recursive_directory_iterator(cgBase)) {
-                if (!e.is_regular_file() || !lintableFile(e.path()))
-                    continue;
-                if (!fixtureRun
-                    && e.path().string().find("lint_fixtures")
-                           != std::string::npos)
-                    continue;
-                an.addFile(
-                    fs::relative(e.path(), root).generic_string(),
-                    readFile(e.path()));
-            }
-            contest::lint::cg::AnalyzeOptions opts;
-            opts.seeds = seeds;
-            auto v = an.analyze(opts);
-            all.insert(all.end(), v.begin(), v.end());
-        }
-    }
-
     const auto t1 = std::chrono::steady_clock::now();
     const long ms =
         std::chrono::duration_cast<std::chrono::milliseconds>(t1
@@ -223,12 +168,5 @@ main(int argc, char **argv)
                     files, all.size(), ms);
     }
 
-    if (budgetMs >= 0 && ms > budgetMs) {
-        std::fprintf(stderr,
-                     "contest_lint: runtime %ld ms exceeded the "
-                     "--budget-ms %ld budget\n",
-                     ms, budgetMs);
-        return 3;
-    }
     return all.empty() ? 0 : 1;
 }

@@ -26,21 +26,11 @@
  *                          locally-defined per-entry structs (AoS) in
  *                          src/core/: hot state is parallel SoaVec
  *                          field arrays plus uint64 mask words
- *                          (DESIGN.md §13)
- *
- * The window-phase discipline rules (window-phase, unknown-call) —
- * the transitive successor of the old one-hop cross-core-mutation
- * regex — live in lint_callgraph.hh; the contest_lint binary runs
- * both engines.
+ *                          (DESIGN.md §12)
  *
  * Any line (or its predecessor) may carry
  *     // contest-lint: allow(<rule>)
- * to suppress a single finding where the pattern is intentional, and
- * a file may opt out of one rule wholesale with
- *     // contest-lint: allow-file(<rule>)
- * anywhere in the file (by convention: in the header comment, with
- * the justification alongside). File-level waivers never leak into
- * other files.
+ * to suppress a single finding where the pattern is intentional.
  */
 
 #ifndef CONTEST_TOOLS_LINT_CORE_HH
@@ -160,8 +150,7 @@ splitLines(const std::string &s)
 }
 
 /** Is the finding on (1-based) @p line suppressed by an allow
- *  comment on the same or the preceding raw source line, or by a
- *  file-level allow-file waiver anywhere in the file? */
+ *  comment on the same or the preceding raw source line? */
 inline bool
 allowed(const std::vector<std::string> &raw_lines, std::size_t line,
         const std::string &rule)
@@ -172,11 +161,6 @@ allowed(const std::vector<std::string> &raw_lines, std::size_t line,
             && raw_lines[l - 1].find(needle) != std::string::npos)
             return true;
     }
-    const std::string file_needle =
-        "contest-lint: allow-file(" + rule + ")";
-    for (const std::string &l : raw_lines)
-        if (l.find(file_needle) != std::string::npos)
-            return true;
     return false;
 }
 
@@ -484,7 +468,7 @@ lintFile(const std::string &path, const std::string &content)
     }
 
     // ---- core-soa ----------------------------------------------
-    // The SoA refactor (DESIGN.md §13) replaced the per-entry
+    // The SoA refactor (DESIGN.md §12) replaced the per-entry
     // RobEntry/IqSlot structs with parallel packed field arrays and
     // mask words. Reintroducing an array-of-structs for hot state —
     // a std::vector/SoaVec of a struct defined in the same file — or
@@ -547,7 +531,7 @@ lintFile(const std::string &path, const std::string &content)
                                        + elem + "' (AoS) on the core "
                                      "hot path; split the struct into "
                                      "parallel SoaVec field arrays "
-                                     "(DESIGN.md §13)");
+                                     "(DESIGN.md §12)");
                     pos = open;
                 }
             }
