@@ -42,9 +42,8 @@ runAblation(ExperimentContext &ctx)
                  "annealed partner", "evals"};
 
     for (const auto &bench : benches) {
-        auto trace = runner.trace(bench, explore_len);
         const auto &own = coreConfigByName(bench);
-        double own_ipt = runSingle(own, trace).ipt;
+        double own_ipt = runner.single(bench, own, explore_len).result.ipt;
 
         // Best palette partner for the own core, contested. Routed
         // through the runner so the short-trace contests memoize and

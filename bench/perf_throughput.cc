@@ -55,6 +55,9 @@ runThroughput(ExperimentContext &ctx)
     const bool no_skip = simNoSkip();
     SimTimeline *tl = runner.timeline();
     for (const auto &cfg : appendixAPalette()) {
+        // Times the raw single-core loop on purpose: the Runner's
+        // key, memo and disk cache would be measured with it.
+        // contest-lint: allow(runner-bypass)
         OooCore core(cfg, trace);
         const std::uint64_t step = core.periodPs().count();
         auto span_start = SimTimeline::now();
@@ -89,6 +92,8 @@ runThroughput(ExperimentContext &ctx)
 
     // One contested pair: the sync points (GRB polling, store
     // queue, frontier tracking) bound how much skipping can help.
+    // Raw engine on purpose, as above; the per-core skip counts also
+    // need the live system. contest-lint: allow(runner-bypass)
     ContestSystem sys({coreConfigByName("gcc"),
                        coreConfigByName("twolf")},
                       trace);

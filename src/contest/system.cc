@@ -1,6 +1,7 @@
 #include "contest/system.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/env.hh"
 #include "common/log.hh"
@@ -307,11 +308,13 @@ ContestSystem::collectResult(const RunState &rs)
 }
 
 SingleRunResult
-runSingle(const CoreConfig &config, TracePtr trace)
+runSingle(const CoreConfig &config, TracePtr trace,
+          OooCore::RetireCallback on_retire)
 {
     fatal_if(!trace || trace->empty(),
              "runSingle needs a non-empty trace");
     OooCore core(config, trace);
+    core.setRetireCallback(std::move(on_retire));
     const bool no_skip = simNoSkip();
     const std::uint64_t step = core.periodPs().count();
     TimePs t{};

@@ -208,8 +208,15 @@ struct SingleRunResult
     EnergyBreakdown energy;
 };
 
-/** Execute the trace on a single core of the given configuration. */
-SingleRunResult runSingle(const CoreConfig &config, TracePtr trace);
+/**
+ * Execute the trace on a single core of the given configuration,
+ * skipping idle cycles (CONTEST_NO_SKIP=1 steps every cycle).
+ * @p on_retire, if set, observes every retirement as (seq, time);
+ * skipped cycles retire nothing, so it sees the same pairs in both
+ * modes.
+ */
+SingleRunResult runSingle(const CoreConfig &config, TracePtr trace,
+                          OooCore::RetireCallback on_retire = {});
 
 /**
  * The cache-activity counters a finished core contributes to its

@@ -1,6 +1,7 @@
 #include "core/ooo_core.hh"
 
 #include <algorithm>
+#include <atomic>
 
 #include "common/log.hh"
 #include "trace/decode.hh"
@@ -27,6 +28,17 @@ static_assert(numArchRegs == 64,
               "the rename in-flight flags are a single uint64 mask "
               "word — one bit per architectural register");
 
+namespace
+{
+std::atomic<std::uint64_t> coresBuilt{0};
+} // namespace
+
+std::uint64_t
+OooCore::instancesBuilt()
+{
+    return coresBuilt.load();
+}
+
 OooCore::OooCore(const CoreConfig &core_config, TracePtr trace_ptr,
                  CoreId core_id)
     : cfg(core_config), trace(std::move(trace_ptr)), coreId(core_id),
@@ -34,6 +46,7 @@ OooCore::OooCore(const CoreConfig &core_config, TracePtr trace_ptr,
            cfg.loadFillGapCycles(), cfg.storeDrainGapCycles()),
       bpred(cfg.bpred), btb(cfg.btb)
 {
+    ++coresBuilt;
     cfg.validate();
     fatal_if(!trace, "core '%s' constructed without a trace",
              cfg.name.c_str());

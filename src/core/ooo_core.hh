@@ -98,6 +98,11 @@ class OooCore
     OooCore(const CoreConfig &core_config, TracePtr trace_ptr,
             CoreId core_id = 0);
 
+    /** Cores constructed in this process so far, contest cores
+     *  included. Every simulation builds at least one, so a stretch
+     *  that builds none simulated nothing. */
+    static std::uint64_t instancesBuilt();
+
     /** Attach contesting hooks (optional; pass nullptr to detach). */
     void attachContest(ContestHooks *contest_hooks,
                        InjectionStyle injection_style);

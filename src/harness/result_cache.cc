@@ -1,11 +1,13 @@
 #include "harness/result_cache.hh"
 
 #include <atomic>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
 #include <unistd.h>
 
@@ -60,13 +62,35 @@ writeEntryAtomic(const std::string &final_path,
     return true;
 }
 
+/** Append integer @p v in decimal. std::to_chars writes exactly the
+ *  digits ostream's operator<< does, so keys match the entries any
+ *  earlier ostringstream-built key stored. */
+template <typename T>
 void
-appendCacheGeom(std::ostringstream &os, const char *tag,
+appendNum(std::string &key, T v)
+{
+    char buf[24];
+    key.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
+
+/** Append @p tag, then the integers @p vs '/'-separated, then ';'. */
+template <typename... Ts>
+void
+appendField(std::string &key, std::string_view tag, Ts... vs)
+{
+    key += tag;
+    const char *sep = "";
+    ((key += sep, appendNum(key, vs), sep = "/"), ...);
+    key += ';';
+}
+
+void
+appendCacheGeom(std::string &key, std::string_view tag,
                 const CacheConfig &c)
 {
-    os << tag << '=' << c.sets << '/' << c.assoc << '/' << c.blockBytes
-       << '/' << c.latency.count() << '/' << (c.writeThrough ? 1 : 0)
-       << '/' << (c.writeAllocate ? 1 : 0) << ';';
+    appendField(key, tag, c.sets, c.assoc, c.blockBytes,
+                c.latency.count(), c.writeThrough ? 1 : 0,
+                c.writeAllocate ? 1 : 0);
 }
 
 /** Little-endian binary writer. */
@@ -207,35 +231,34 @@ readEnergy(Reader &r, EnergyBreakdown &e)
 /** Every CoreConfig field that shapes a simulation, in one canonical
  *  serialization shared by the single-run and contest keys. */
 void
-appendCoreConfig(std::ostringstream &os, const CoreConfig &core)
+appendCoreConfig(std::string &key, const CoreConfig &core)
 {
-    os << "core=" << core.name << ';';
-    os << "memlat=" << core.memAccessCycles.count() << ';';
-    os << "fed=" << core.frontEndDepth << ';';
-    os << "width=" << core.width << ';';
-    os << "rob=" << core.robSize << ';';
-    os << "iq=" << core.iqSize << ';';
-    os << "wakeup=" << core.wakeupLatency.count() << ';';
-    os << "sched=" << core.schedDepth.count() << ';';
-    os << "clock=" << core.clockPeriodPs.count() << ';';
-    appendCacheGeom(os, "l1d", core.l1d);
-    appendCacheGeom(os, "l2", core.l2);
-    os << "lsq=" << core.lsqSize << ';';
-    os << "l1dports=" << core.l1dPorts << ';';
-    os << "mshrs=" << core.mshrs << ';';
+    key.append("core=").append(core.name).append(";");
+    appendField(key, "memlat=", core.memAccessCycles.count());
+    appendField(key, "fed=", core.frontEndDepth);
+    appendField(key, "width=", core.width);
+    appendField(key, "rob=", core.robSize);
+    appendField(key, "iq=", core.iqSize);
+    appendField(key, "wakeup=", core.wakeupLatency.count());
+    appendField(key, "sched=", core.schedDepth.count());
+    appendField(key, "clock=", core.clockPeriodPs.count());
+    appendCacheGeom(key, "l1d=", core.l1d);
+    appendCacheGeom(key, "l2=", core.l2);
+    appendField(key, "lsq=", core.lsqSize);
+    appendField(key, "l1dports=", core.l1dPorts);
+    appendField(key, "mshrs=", core.mshrs);
     char bw[64];
     std::snprintf(bw, sizeof(bw), "bw=%.17g;",
                   core.memBandwidthBytesPerNs);
-    os << bw;
-    os << "btbmiss=" << core.btbMissPenalty.count() << ';';
-    os << "syscall=" << core.syscallHandlerCycles.count() << ';';
-    os << "bpred=" << static_cast<int>(core.bpred.kind) << '/'
-       << core.bpred.tableBits << '/' << core.bpred.historyBits << '/'
-       << core.bpred.localHistBits << '/' << core.bpred.localTableBits
-       << ';';
-    os << "btb=" << core.btb.sets << '/' << core.btb.assoc << ';';
-    os << "icache=" << (core.modelICache ? 1 : 0) << ';';
-    appendCacheGeom(os, "l1i", core.l1i);
+    key += bw;
+    appendField(key, "btbmiss=", core.btbMissPenalty.count());
+    appendField(key, "syscall=", core.syscallHandlerCycles.count());
+    appendField(key, "bpred=", static_cast<int>(core.bpred.kind),
+                core.bpred.tableBits, core.bpred.historyBits,
+                core.bpred.localHistBits, core.bpred.localTableBits);
+    appendField(key, "btb=", core.btb.sets, core.btb.assoc);
+    appendField(key, "icache=", core.modelICache ? 1 : 0);
+    appendCacheGeom(key, "l1i=", core.l1i);
 }
 
 void
@@ -272,11 +295,13 @@ ResultCache::singleRunKey(const CoreConfig &core,
                           const std::string &bench,
                           std::uint64_t seed, std::uint64_t trace_len)
 {
-    std::ostringstream os;
-    os << "bench=" << bench << ";seed=" << seed
-       << ";len=" << trace_len << ';';
-    appendCoreConfig(os, core);
-    return os.str();
+    std::string key;
+    key.reserve(320);
+    key.append("bench=").append(bench).append(";");
+    appendField(key, "seed=", seed);
+    appendField(key, "len=", trace_len);
+    appendCoreConfig(key, core);
+    return key;
 }
 
 std::string
@@ -285,25 +310,29 @@ ResultCache::contestKey(const std::string &bench,
                         const ContestConfig &config,
                         std::uint64_t seed, std::uint64_t trace_len)
 {
-    std::ostringstream os;
-    os << "contest;bench=" << bench << ";seed=" << seed
-       << ";len=" << trace_len << ';';
-    os << "grb=" << config.grbLatencyPs.count() << ';';
-    os << "fifo=" << config.fifoCapacity << ';';
-    os << "sq=" << config.storeQueueCapacity << ';';
-    os << "inj=" << static_cast<int>(config.injectionStyle) << ';';
-    os << "early=" << (config.earlyBranchResolve ? 1 : 0) << ';';
-    os << "park=" << (config.parkSaturatedLaggers ? 1 : 0) << ';';
-    os << "exc=" << config.syscallHandlerPs.count() << ';';
-    os << "intp=" << config.interruptPeriodPs.count() << ';';
-    os << "inth=" << config.interruptHandlerPs.count() << ';';
-    os << "wd=" << config.deadlockStuckTicks << ';';
-    os << "ncores=" << cores.size() << ';';
+    std::string key;
+    key.reserve(192 + 320 * cores.size());
+    key.append("contest;bench=").append(bench).append(";");
+    appendField(key, "seed=", seed);
+    appendField(key, "len=", trace_len);
+    appendField(key, "grb=", config.grbLatencyPs.count());
+    appendField(key, "fifo=", config.fifoCapacity);
+    appendField(key, "sq=", config.storeQueueCapacity);
+    appendField(key, "inj=", static_cast<int>(config.injectionStyle));
+    appendField(key, "early=", config.earlyBranchResolve ? 1 : 0);
+    appendField(key, "park=", config.parkSaturatedLaggers ? 1 : 0);
+    appendField(key, "exc=", config.syscallHandlerPs.count());
+    appendField(key, "intp=", config.interruptPeriodPs.count());
+    appendField(key, "inth=", config.interruptHandlerPs.count());
+    appendField(key, "wd=", config.deadlockStuckTicks);
+    appendField(key, "ncores=", cores.size());
     for (std::size_t i = 0; i < cores.size(); ++i) {
-        os << '[' << i << ']';
-        appendCoreConfig(os, cores[i]);
+        key += '[';
+        appendNum(key, i);
+        key += ']';
+        appendCoreConfig(key, cores[i]);
     }
-    return os.str();
+    return key;
 }
 
 std::string

@@ -10,14 +10,6 @@ namespace contest
 namespace
 {
 
-/** In-memory memo key of a single run: bench and core name, with a
- *  separator no name contains. */
-std::string
-singleMemoKey(const std::string &bench, const std::string &core)
-{
-    return bench + '\x1f' + core;
-}
-
 /** Timeline label of a contested run: bench @ core+core+... */
 std::string
 contestLabel(const std::string &bench,
@@ -66,62 +58,52 @@ Runner::trace(const std::string &bench, std::uint64_t trace_len)
 const LoggedRun &
 Runner::single(const std::string &bench, const std::string &core)
 {
+    return single(bench, coreConfigByName(core));
+}
+
+const LoggedRun &
+Runner::single(const std::string &bench, const CoreConfig &core,
+               std::uint64_t trace_len, bool *materialized)
+{
     auto queued = SimTimeline::now();
-    SingleEntry *entry =
-        singles.entryFor(HashedKey(singleMemoKey(bench, core)));
+    const std::uint64_t use_len = trace_len != 0 ? trace_len : len;
+    // One canonical string keys the memo and the disk cache, as in
+    // contested().
+    const std::string key =
+        ResultCache::singleRunKey(core, bench, seed_, use_len);
+    SingleEntry *entry = singles.entryFor(HashedKey(key));
+    bool ran = false;
     std::call_once(entry->once, [&] {
+        ran = true;
         auto start = SimTimeline::now();
         LoggedRun &run = entry->run;
-        const CoreConfig &config = coreConfigByName(core);
 
         // Persistent layer first: a disk hit restores the result and
         // region series without generating the trace or simulating.
-        std::string key;
-        if (disk != nullptr) {
-            key = ResultCache::singleRunKey(config, bench, seed_, len);
-            SingleRunResult restored;
-            std::vector<TimePs> series;
-            if (disk->load(key, restored, series)) {
-                run.result = restored;
-                run.regions =
-                    std::make_shared<RegionLog>(std::move(series));
-                ++diskHitCount;
-                if (timeline_ != nullptr)
-                    timeline_->record(SimTimeline::Kind::Single,
-                                      bench + '@' + core, queued,
-                                      start, SimTimeline::now(),
-                                      true);
-                return;
-            }
+        std::vector<TimePs> series;
+        const bool hit =
+            disk != nullptr && disk->load(key, run.result, series);
+        if (hit) {
+            run.regions = std::make_shared<RegionLog>(std::move(series));
+            ++diskHitCount;
+        } else {
+            run.regions = std::make_shared<RegionLog>();
+            run.result = runSingle(
+                core, trace(bench, use_len),
+                [log = run.regions.get()](InstSeq seq, TimePs now) {
+                    log->onRetire(seq, now);
+                });
+            ++simsDone;
+            if (disk != nullptr)
+                disk->store(key, run.result, run.regions->series());
         }
-
-        TracePtr t = trace(bench);
-        run.regions = std::make_shared<RegionLog>();
-
-        OooCore sim(config, t);
-        RegionLog *log = run.regions.get();
-        sim.setRetireCallback(
-            [log](InstSeq seq, TimePs now) { log->onRetire(seq, now); });
-
-        TimePs now{};
-        while (!sim.done()) {
-            sim.tick(now);
-            now += sim.periodPs();
-        }
-        run.result.timePs = now;
-        run.result.ipt = instPerNs(t->endSeq(), now);
-        run.result.stats = sim.stats();
-        run.result.energy = estimateEnergy(config, sim.stats(),
-                                           baseActivity(sim), now);
-        ++simsDone;
-
-        if (disk != nullptr)
-            disk->store(key, run.result, run.regions->series());
         if (timeline_ != nullptr)
             timeline_->record(SimTimeline::Kind::Single,
-                              bench + '@' + core, queued, start,
-                              SimTimeline::now(), false);
+                              bench + '@' + core.name, queued, start,
+                              SimTimeline::now(), hit);
     });
+    if (materialized != nullptr)
+        *materialized = ran;
     return entry->run;
 }
 
@@ -129,7 +111,7 @@ const ContestResult &
 Runner::contested(const std::string &bench,
                   const std::vector<CoreConfig> &cores,
                   const ContestConfig &config,
-                  std::uint64_t trace_len)
+                  std::uint64_t trace_len, bool *materialized)
 {
     auto queued = SimTimeline::now();
     const std::uint64_t use_len = trace_len != 0 ? trace_len : len;
@@ -139,28 +121,28 @@ Runner::contested(const std::string &bench,
     const std::string key = ResultCache::contestKey(
         bench, cores, config, seed_, use_len);
     ContestEntry *entry = contests.entryFor(HashedKey(key));
+    bool ran = false;
     std::call_once(entry->once, [&] {
+        ran = true;
         auto start = SimTimeline::now();
-        if (disk != nullptr && disk->loadContest(key, entry->result)) {
+        const bool hit =
+            disk != nullptr && disk->loadContest(key, entry->result);
+        if (hit) {
             ++contestDiskHitCount;
-            if (timeline_ != nullptr)
-                timeline_->record(SimTimeline::Kind::Contest,
-                                  contestLabel(bench, cores), queued,
-                                  start, SimTimeline::now(), true);
-            return;
+        } else {
+            ContestSystem sys(cores, trace(bench, use_len), config);
+            entry->result = sys.run();
+            ++contestsDone;
+            if (disk != nullptr)
+                disk->storeContest(key, entry->result);
         }
-
-        ContestSystem sys(cores, trace(bench, use_len), config);
-        entry->result = sys.run();
-        ++contestsDone;
-
-        if (disk != nullptr)
-            disk->storeContest(key, entry->result);
         if (timeline_ != nullptr)
             timeline_->record(SimTimeline::Kind::Contest,
                               contestLabel(bench, cores), queued,
-                              start, SimTimeline::now(), false);
+                              start, SimTimeline::now(), hit);
     });
+    if (materialized != nullptr)
+        *materialized = ran;
     return entry->result;
 }
 

@@ -41,9 +41,9 @@ struct LoggedRun
 /**
  * Caching experiment runner. All bench binaries funnel their
  * simulations through a Runner so that a single-core (benchmark,
- * core type) result — and, since the pipelined scheduler, a
- * contested (benchmark, ordered cores, contest config) result — is
- * simulated exactly once per process.
+ * core config) result and a contested (benchmark, ordered cores,
+ * contest config) result are simulated exactly once per process,
+ * and — with a ResultCache attached — not at all on a warm rerun.
  *
  * The runner is safe to use from many threads at once — the suite
  * scheduler's pool and, since the contest service daemon, an
@@ -77,9 +77,26 @@ class Runner
     TracePtr trace(const std::string &bench,
                    std::uint64_t trace_len = 0);
 
-    /** Cached single-core run with region logging. */
+    /** Cached single-core run of a palette core type. */
     const LoggedRun &single(const std::string &bench,
                             const std::string &core);
+
+    /**
+     * Single-core run with region logging, memoized and backed by
+     * the persistent result cache on ResultCache::singleRunKey —
+     * every CoreConfig field, so a variant of a palette core (a
+     * modeled I-cache, say) needs a name of its own only for its
+     * timeline label. @p trace_len overrides the configured length
+     * (0: the configured one) and is part of the key.
+     *
+     * @param materialized if set, receives whether this call ran
+     *        the once-latch body (a disk load or a simulation)
+     *        rather than reading a result already in memory
+     */
+    const LoggedRun &single(const std::string &bench,
+                            const CoreConfig &core,
+                            std::uint64_t trace_len = 0,
+                            bool *materialized = nullptr);
 
     /**
      * Contested run, memoized on (benchmark, ordered core configs,
@@ -93,11 +110,13 @@ class Runner
      * (0: use the configured one); the override is part of the cache
      * key, so experiments that deliberately contest shorter traces
      * (contest-aware exploration) still memoize and persist.
+     * @p materialized is reported as by single().
      */
     const ContestResult &contested(const std::string &bench,
                                    const std::vector<CoreConfig> &cores,
                                    const ContestConfig &config,
-                                   std::uint64_t trace_len = 0);
+                                   std::uint64_t trace_len = 0,
+                                   bool *materialized = nullptr);
 
     /** Contested run between two palette core types. */
     const ContestResult &contestedPair(const std::string &bench,

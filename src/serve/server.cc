@@ -338,23 +338,18 @@ ContestServer::dispatcherLoop()
     }
 }
 
-bool
-ContestServer::warmKey(const std::string &key)
-{
-    std::lock_guard<std::mutex> lock(seenMu);
-    // insert() reports whether the key was already dispatched; a
-    // concurrent identical request therefore counts as warm — it
-    // blocks on the Runner's once-latch and reuses the result.
-    return !seenKeys.insert(key).second;
-}
-
 void
 ContestServer::execute(const Job &job)
 {
     const ServeRequest &req = job.req;
     const auto startedAt = SimTimeline::now();
     JsonValue resp = serveOkResponse(req);
+    // A single or contest request is warm unless it materialized its
+    // result (the Runner ran the once-latch body for it): a twin that
+    // waited on the latch, or a result an earlier request of any kind
+    // materialized, reads warm.
     bool warm = false;
+    bool materialized = false;
     bool failed = false;
 
     switch (req.kind) {
@@ -367,10 +362,10 @@ ContestServer::execute(const Job &job)
         break;
       }
       case ServeRequest::Kind::Single: {
-        const CoreConfig &core = coreConfigByName(req.core);
-        warm = warmKey(ResultCache::singleRunKey(
-            core, req.bench, opts.seed, opts.traceLen));
-        const LoggedRun &run = runner_->single(req.bench, req.core);
+        const LoggedRun &run =
+            runner_->single(req.bench, coreConfigByName(req.core), 0,
+                            &materialized);
+        warm = !materialized;
         resp.set("time_ps",
                  JsonValue::number(static_cast<double>(
                      run.result.timePs.count())));
@@ -384,14 +379,10 @@ ContestServer::execute(const Job &job)
         cores.reserve(req.cores.size());
         for (const std::string &name : req.cores)
             cores.push_back(coreConfigByName(name));
-        const ContestConfig config{};
-        const std::uint64_t useLen = req.traceLenOverride != 0
-                                         ? req.traceLenOverride
-                                         : opts.traceLen;
-        warm = warmKey(ResultCache::contestKey(
-            req.bench, cores, config, opts.seed, useLen));
-        const ContestResult &result = runner_->contested(
-            req.bench, cores, config, req.traceLenOverride);
+        const ContestResult &result =
+            runner_->contested(req.bench, cores, ContestConfig{},
+                               req.traceLenOverride, &materialized);
+        warm = !materialized;
         resp.set("time_ps",
                  JsonValue::number(
                      static_cast<double>(result.timePs.count())));

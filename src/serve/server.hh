@@ -42,7 +42,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
 #include "common/json.hh"
@@ -141,8 +140,6 @@ class ContestServer
     void execute(const Job &job);
     void respond(const ConnPtr &conn, const JsonValue &resp);
     JsonValue statsJson(const ServeRequest &req);
-    /** True when @p key was dispatched before (and marks it seen). */
-    bool warmKey(const std::string &key);
     /** Run the drain protocol; called by the accept thread once
      *  draining is observed. */
     void drainAndStop();
@@ -175,9 +172,6 @@ class ContestServer
     std::mutex inFlightMu;
     std::condition_variable inFlightCv;
     std::size_t inFlight = 0;
-
-    std::mutex seenMu;
-    std::unordered_set<std::string> seenKeys;
 
     /** Connections owed a shutdown ack (sent after the drain). */
     std::mutex ackMu;

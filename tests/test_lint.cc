@@ -295,6 +295,53 @@ TEST(LintCoreContainer, FixtureContentTripsUnderCorePath)
               "core-soa"));
 }
 
+TEST(LintRunnerBypass, FlagsSimulatorUseInBench)
+{
+    const char *code = "OooCore core(cfg, trace);\n"
+                       "auto sys = std::make_unique<ContestSystem>(\n"
+                       "    cores, trace);\n"
+                       "double ipt = runSingle(cfg, trace).ipt;\n";
+    const auto v = lintFile("bench/abl_x.cc", code);
+    ASSERT_EQ(v.size(), 3u);
+    for (const auto &f : v)
+        EXPECT_EQ(f.rule, "runner-bypass");
+    EXPECT_EQ(v[0].line, 1u);
+    EXPECT_EQ(v[1].line, 2u);
+    EXPECT_EQ(v[2].line, 4u);
+    // Runner calls, references, scopes, comments and strings are
+    // not simulations.
+    EXPECT_TRUE(lintFile("bench/abl_x.cc",
+                         "runner.single(bench, cfg);\n"
+                         "const OooCore &c = sys.core(0);\n"
+                         "OooCore::RetireCallback cb;\n"
+                         "// runSingle would bypass the cache\n"
+                         "const char *s = \"ContestSystem\";\n")
+                    .empty());
+}
+
+TEST(LintRunnerBypass, SilentOutsideBench)
+{
+    const char *code = "OooCore core(cfg, trace);\n"
+                       "ContestSystem sys(cores, trace);\n"
+                       "double ipt = runSingle(cfg, trace).ipt;\n";
+    for (const char *path : {"src/harness/runner.cc",
+                             "tests/test_contest.cc",
+                             "tools/contest_sim.cc",
+                             "examples/quickstart.cpp"})
+        EXPECT_FALSE(fired(lintFile(path, code), "runner-bypass"))
+            << path;
+}
+
+TEST(LintRunnerBypass, AllowCommentSuppresses)
+{
+    EXPECT_TRUE(lintFile("bench/perf_x.cc",
+                         "// contest-lint: allow(runner-bypass)\n"
+                         "OooCore core(cfg, trace);\n"
+                         "ContestSystem sys(cores, trace); "
+                         "// contest-lint: allow(runner-bypass)\n")
+                    .empty());
+}
+
 TEST(LintPanicMessage, RequiresInvariantNamingMessage)
 {
     EXPECT_TRUE(fired(

@@ -3,18 +3,21 @@
  * Idle-cycle skipping must be invisible: every run with
  * fast-forwarding enabled has to produce results bit-identical to
  * the per-cycle reference mode (CONTEST_NO_SKIP=1) — timings, every
- * pipeline counter, energy numbers, lead fractions. A seed sweep
- * over single-core runs and contests (including a parking pair, a
- * drop-oldest pair and an interrupt-driven refork config) pins that
- * equivalence down.
+ * pipeline counter, energy numbers, lead fractions, the Runner's
+ * region series. A seed sweep over single-core runs and contests
+ * (including a parking pair, a drop-oldest pair and an
+ * interrupt-driven refork config) pins that equivalence down.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
+#include <utility>
 
 #include "contest/system.hh"
 #include "core/palette.hh"
+#include "harness/runner.hh"
 #include "trace/generator.hh"
 
 namespace contest
@@ -122,6 +125,35 @@ TEST(SkipEquivalence, SingleCoreSeedSweep)
                                  what.c_str());
             }
         }
+    }
+}
+
+TEST(SkipEquivalence, RunnerSingleAndRegionSeries)
+{
+    // Runner::single feeds its region log from runSingle's retire
+    // observer. Figure 1 and the pair ranking fuse that series, so
+    // it must match per-cycle stepping region for region.
+    const std::pair<const char *, const char *> cells[] = {
+        {"mcf", "mcf"}, {"gcc", "twolf"}, {"crafty", "vortex"}};
+    for (const auto &[bench, core] : cells) {
+        // A fresh Runner per mode, or the memo would answer the
+        // second mode with the first one's run.
+        auto run = [&]() -> LoggedRun {
+            Runner runner(15000, 2009);
+            return runner.single(bench, core);
+        };
+        LoggedRun fast = withSkipMode(false, run);
+        LoggedRun ref = withSkipMode(true, run);
+        std::string what = std::string(bench) + " on " + core;
+        EXPECT_EQ(fast.result.timePs, ref.result.timePs) << what;
+        EXPECT_EQ(fast.result.ipt, ref.result.ipt) << what;
+        expectSameStats(fast.result.stats, ref.result.stats,
+                        what.c_str());
+        expectSameEnergy(fast.result.energy, ref.result.energy,
+                         what.c_str());
+        EXPECT_GT(fast.regions->size(), 0u) << what;
+        EXPECT_EQ(fast.regions->series(), ref.regions->series())
+            << what;
     }
 }
 

@@ -27,6 +27,11 @@
  *                          src/core/: hot state is parallel SoaVec
  *                          field arrays plus uint64 mask words
  *                          (DESIGN.md §12)
+ *  - runner-bypass         no OooCore / ContestSystem construction
+ *                          and no runSingle() call in bench/: suite
+ *                          experiments simulate through the Runner,
+ *                          whose memo and result cache let a warm
+ *                          rerun simulate nothing (DESIGN.md §10)
  *
  * Any line (or its predecessor) may carry
  *     // contest-lint: allow(<rule>)
@@ -533,6 +538,40 @@ lintFile(const std::string &path, const std::string &content)
                                      "parallel SoaVec field arrays "
                                      "(DESIGN.md §12)");
                     pos = open;
+                }
+            }
+        }
+    }
+
+    // ---- runner-bypass -----------------------------------------
+    // An experiment that builds its own OooCore or ContestSystem, or
+    // calls runSingle, re-simulates on every warm rerun and never
+    // shares a result with the rest of the suite. Naming the type
+    // through a reference, pointer or scope (`const OooCore &`,
+    // `OooCore::RetireCallback`) constructs nothing.
+    if (path.rfind("bench/", 0) == 0) {
+        for (std::size_t i = 0; i < code.size(); ++i) {
+            const std::string &l = code[i];
+            for (const std::string tok :
+                 {"OooCore", "ContestSystem", "runSingle"}) {
+                std::size_t pos = 0;
+                while ((pos = l.find(tok, pos)) != std::string::npos) {
+                    const std::size_t end = pos + tok.size();
+                    const bool word =
+                        (pos == 0 || !isIdentChar(l[pos - 1]))
+                        && (end >= l.size() || !isIdentChar(l[end]));
+                    const std::size_t next =
+                        l.find_first_not_of(' ', end);
+                    const bool names_only = next != std::string::npos
+                        && (l[next] == '&' || l[next] == '*'
+                            || l[next] == ':');
+                    if (word && !names_only)
+                        report(i + 1, "runner-bypass",
+                               tok + " in an experiment simulates "
+                                     "outside the Runner's memo and "
+                                     "result cache; use "
+                                     "Runner::single / contested");
+                    pos = end;
                 }
             }
         }
