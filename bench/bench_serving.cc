@@ -1,13 +1,14 @@
 /**
  * @file
  * Serving benchmark: measures the contest service end-to-end —
- * socket, framing, admission queue, ThreadPool dispatch, Runner
+ * socket, framing, the admission bound, ThreadPool dispatch, Runner
  * memoization — by standing up an in-process server per --jobs value
  * and replaying the identical request mix twice. The first (cold)
  * phase simulates everything; the second (warm) phase must be served
- * entirely from the memo tables, so its requests/s measures protocol
- * and scheduling overhead alone and its executed-simulation count
- * must be zero.
+ * entirely from the memo tables, which the connection readers answer
+ * without a pool hop, so its requests/s measures framing, JSON and
+ * key building alone and its executed-simulation count must be
+ * zero.
  *
  * Registered standalone (REGISTER_EXPERIMENT_STANDALONE): the
  * artifact embeds wall-clock rates, so it can never be bit-stable

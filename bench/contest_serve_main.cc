@@ -62,7 +62,10 @@ printUsage(std::FILE *to)
         "  --trace-len N       instructions per trace\n"
         "  --seed N            workload generation seed\n"
         "  --cache-dir DIR     persistent result cache\n"
-        "  --admission-depth N admission queue depth (default 64)\n"
+        "  --admission-depth N most simulation jobs in flight,\n"
+        "                      queued plus running (default 64);\n"
+        "                      further requests wait in their\n"
+        "                      connection\n"
         "  --quiet             suppress startup/shutdown log lines\n");
 }
 

@@ -1,5 +1,7 @@
 #include "common/json.hh"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -183,29 +185,65 @@ jsonEscape(const std::string &s)
     return out;
 }
 
-std::string
-jsonNumber(double v)
+namespace
 {
+
+/** Bytes enough for any jsonNumber() output (at most 24). */
+constexpr std::size_t kNumberChars = 32;
+
+/** Digits in the mantissa of a scientific-notation decimal. */
+int
+mantissaDigits(const char *first, const char *last)
+{
+    int digits = 0;
+    for (const char *p = first; p != last && *p != 'e'; ++p)
+        digits += *p >= '0' && *p <= '9' ? 1 : 0;
+    return digits;
+}
+
+/** Write jsonNumber(v) into @p buf (kNumberChars bytes); returns the
+ *  end of the text. */
+char *
+formatNumber(char *buf, double v)
+{
+    char *const end = buf + kNumberChars;
     if (!std::isfinite(v)) {
         // JSON has no inf/nan; emit null-adjacent sentinels that the
         // strict parser will reject, making the corruption loud.
-        return v > 0 ? "1e999" : (v < 0 ? "-1e999" : "nan");
+        const char *text = v > 0 ? "1e999" : (v < 0 ? "-1e999" : "nan");
+        return std::copy(text, text + std::strlen(text), buf);
     }
     // Integers inside the exactly-representable window print without
-    // a fraction.
-    if (v == std::floor(v) && std::fabs(v) < 9.007199254740992e15) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%.0f", v);
-        return buf;
+    // a fraction (printf's %.0f).
+    if (v == std::floor(v) && std::fabs(v) < 9.007199254740992e15)
+        return std::to_chars(buf, end, v, std::chars_format::fixed, 0)
+            .ptr;
+    // The shortest %.*g precision that parses back to the identical
+    // bits. No precision below the digit count of the shortest
+    // round-trip form can round-trip, so the search starts there.
+    // to_chars with a precision is %.*g and from_chars is strtod,
+    // both in the C locale.
+    int prec = mantissaDigits(
+        buf,
+        std::to_chars(buf, end, v, std::chars_format::scientific).ptr);
+    for (;; ++prec) {
+        char *const last =
+            std::to_chars(buf, end, v, std::chars_format::general, prec)
+                .ptr;
+        double back = 0.0;
+        std::from_chars(buf, last, back);
+        if (back == v || prec >= 17)
+            return last;
     }
-    // Shortest precision that round-trips to the identical bits.
-    char buf[40];
-    for (int prec = 1; prec <= 17; ++prec) {
-        std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
-        if (std::strtod(buf, nullptr) == v)
-            break;
-    }
-    return buf;
+}
+
+} // namespace
+
+std::string
+jsonNumber(double v)
+{
+    char buf[kNumberChars];
+    return std::string(buf, formatNumber(buf, v));
 }
 
 void
@@ -224,9 +262,11 @@ JsonValue::dumpTo(std::string &out, int indent, int depth) const
       case Kind::Bool:
         out += b ? "true" : "false";
         break;
-      case Kind::Number:
-        out += jsonNumber(num);
+      case Kind::Number: {
+        char buf[kNumberChars];
+        out.append(buf, formatNumber(buf, num));
         break;
+      }
       case Kind::String:
         out += '"';
         out += jsonEscape(s);

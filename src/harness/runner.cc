@@ -101,6 +101,7 @@ Runner::single(const std::string &bench, const CoreConfig &core,
             timeline_->record(SimTimeline::Kind::Single,
                               bench + '@' + core.name, queued, start,
                               SimTimeline::now(), hit);
+        entry->ready.store(true, std::memory_order_release);
     });
     if (materialized != nullptr)
         *materialized = ran;
@@ -140,10 +141,40 @@ Runner::contested(const std::string &bench,
             timeline_->record(SimTimeline::Kind::Contest,
                               contestLabel(bench, cores), queued,
                               start, SimTimeline::now(), hit);
+        entry->ready.store(true, std::memory_order_release);
     });
     if (materialized != nullptr)
         *materialized = ran;
     return entry->result;
+}
+
+const LoggedRun *
+Runner::singleIfReady(const std::string &bench, const CoreConfig &core,
+                      std::uint64_t trace_len)
+{
+    const SingleEntry *entry = singles.find(
+        HashedKey(ResultCache::singleRunKey(
+            core, bench, seed_, trace_len != 0 ? trace_len : len)));
+    return entry != nullptr
+                   && entry->ready.load(std::memory_order_acquire)
+               ? &entry->run
+               : nullptr;
+}
+
+const ContestResult *
+Runner::contestedIfReady(const std::string &bench,
+                         const std::vector<CoreConfig> &cores,
+                         const ContestConfig &config,
+                         std::uint64_t trace_len)
+{
+    const ContestEntry *entry = contests.find(
+        HashedKey(ResultCache::contestKey(
+            bench, cores, config, seed_,
+            trace_len != 0 ? trace_len : len)));
+    return entry != nullptr
+                   && entry->ready.load(std::memory_order_acquire)
+               ? &entry->result
+               : nullptr;
 }
 
 const ContestResult &

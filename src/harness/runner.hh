@@ -118,6 +118,25 @@ class Runner
                                    std::uint64_t trace_len = 0,
                                    bool *materialized = nullptr);
 
+    /**
+     * The memoized result of single(@p bench, @p core, @p trace_len)
+     * if it is already in memory, else nullptr. Never simulates,
+     * never reads the disk cache, never waits on a latch, and never
+     * adds a memo entry, so a probe for an unseen key costs a key
+     * build and one shard lookup.
+     */
+    const LoggedRun *singleIfReady(const std::string &bench,
+                                   const CoreConfig &core,
+                                   std::uint64_t trace_len = 0);
+
+    /** contested()'s memoized result if already in memory, else
+     *  nullptr; the same guarantees as singleIfReady(). */
+    const ContestResult *
+    contestedIfReady(const std::string &bench,
+                     const std::vector<CoreConfig> &cores,
+                     const ContestConfig &config,
+                     std::uint64_t trace_len = 0);
+
     /** Contested run between two palette core types. */
     const ContestResult &contestedPair(const std::string &bench,
                                        const std::string &core_a,
@@ -201,7 +220,11 @@ class Runner
 
   private:
     /** Memo-map slot: the once-latch serializes the first (and only)
-     *  computation of the keyed value; later readers see it filled. */
+     *  computation of the keyed value; later readers see it filled.
+     *  A result slot's `ready` is stored (release) as the last step
+     *  of the latch body, so a reader that loads it true (acquire)
+     *  sees the finished result without touching the latch. Results
+     *  are never written again. */
     struct TraceEntry
     {
         std::once_flag once;
@@ -211,11 +234,13 @@ class Runner
     {
         std::once_flag once;
         LoggedRun run;
+        std::atomic<bool> ready{false};
     };
     struct ContestEntry
     {
         std::once_flag once;
         ContestResult result;
+        std::atomic<bool> ready{false};
     };
 
     /**
@@ -241,6 +266,16 @@ class Runner
             if (!slot)
                 slot = std::make_unique<Entry>();
             return slot.get();
+        }
+
+        /** The entry for @p key, or nullptr; never inserts. */
+        Entry *
+        find(const HashedKey &key)
+        {
+            Shard &s = shards[key.hash & (kShards - 1)];
+            std::lock_guard<std::mutex> lock(s.mu);
+            auto it = s.map.find(key);
+            return it != s.map.end() ? it->second.get() : nullptr;
         }
 
         /** Reserve buckets for @p total entries across all shards. */

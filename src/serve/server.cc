@@ -26,6 +26,51 @@ msBetween(SimTimeline::Clock::time_point from,
         .count();
 }
 
+/** The palette configs of a contest request's cores. */
+std::vector<CoreConfig>
+coreConfigs(const ServeRequest &req)
+{
+    std::vector<CoreConfig> cores;
+    cores.reserve(req.cores.size());
+    for (const std::string &name : req.cores)
+        cores.push_back(coreConfigByName(name));
+    return cores;
+}
+
+/** A single request's reply without its timing block. The inline
+ *  and the worker path both build it here, so a warm and a cold
+ *  reply carry the same bytes. */
+JsonValue
+singleReply(const ServeRequest &req, const LoggedRun &run)
+{
+    JsonValue resp = serveOkResponse(req);
+    resp.set("time_ps", JsonValue::number(static_cast<double>(
+                            run.result.timePs.count())));
+    resp.set("ipt", JsonValue::number(run.result.ipt));
+    resp.set("energy_nj",
+             JsonValue::number(run.result.energy.totalNj()));
+    return resp;
+}
+
+/** A contest request's reply without its timing block; as
+ *  singleReply(). */
+JsonValue
+contestReply(const ServeRequest &req, const ContestResult &result)
+{
+    JsonValue resp = serveOkResponse(req);
+    resp.set("time_ps", JsonValue::number(static_cast<double>(
+                            result.timePs.count())));
+    resp.set("ipt", JsonValue::number(result.ipt));
+    resp.set("lead_changes", JsonValue::number(static_cast<double>(
+                                 result.leadChanges)));
+    resp.set("energy_nj", JsonValue::number(result.totalEnergyNj()));
+    JsonValue lead = JsonValue::array();
+    for (double f : result.leadFraction)
+        lead.push(JsonValue::number(f));
+    resp.set("lead_fraction", std::move(lead));
+    return resp;
+}
+
 } // namespace
 
 ContestServer::ContestServer(ServeOptions options)
@@ -67,7 +112,6 @@ ContestServer::start(std::string *error)
                static_cast<unsigned long long>(opts.seed),
                cache ? opts.cacheDir.c_str() : "off");
     started = true;
-    dispatcherThread = std::thread([this] { dispatcherLoop(); });
     acceptThread = std::thread([this] { acceptLoop(); });
     return true;
 }
@@ -109,15 +153,39 @@ ContestServer::acceptLoop()
         const int client = acceptClient(listenFd);
         if (client < 0)
             continue;
+        joinExitedReaders();
         auto conn = std::make_shared<Connection>();
         conn->fd = client;
         connectionsAccepted.fetch_add(1);
+        // The thread is stored under connMu, which its reader takes
+        // before it reports its exit, so an exited id always names a
+        // thread in readerThreads.
         std::lock_guard<std::mutex> lock(connMu);
         connections.push_back(conn);
         readerThreads.emplace_back(
             [this, conn] { readerLoop(conn); });
     }
     drainAndStop();
+}
+
+void
+ContestServer::joinExitedReaders()
+{
+    std::vector<std::thread> exited;
+    {
+        std::lock_guard<std::mutex> lock(connMu);
+        for (std::thread::id id : exitedReaders) {
+            auto it = std::find_if(
+                readerThreads.begin(), readerThreads.end(),
+                [id](const std::thread &t) { return t.get_id() == id; });
+            exited.push_back(std::move(*it));
+            *it = std::move(readerThreads.back());
+            readerThreads.pop_back();
+        }
+        exitedReaders.clear();
+    }
+    for (std::thread &t : exited)
+        t.join();
 }
 
 void
@@ -128,24 +196,15 @@ ContestServer::drainAndStop()
     closeFd(listenFd);
     listenFd = -1;
 
-    // 2. Wake everything that may be waiting: the dispatcher drains
-    //    the remaining admission queue, readers waiting for queue
-    //    space give up and refuse their request.
-    {
-        std::lock_guard<std::mutex> lock(qMu);
-        qCv.notify_all();
-        spaceCv.notify_all();
-    }
-    if (dispatcherThread.joinable())
-        dispatcherThread.join();
-
-    // 3. Wait for every dispatched simulation to finish.
+    // 2. Wake the readers blocked on admission (they refuse their
+    //    request now), then wait for every admitted job to finish.
     {
         std::unique_lock<std::mutex> lock(inFlightMu);
+        inFlightCv.notify_all();
         inFlightCv.wait(lock, [this] { return inFlight == 0; });
     }
 
-    // 4. Ack the shutdown request(s) now that the drain is complete.
+    // 3. Ack the shutdown request(s) now that the drain is complete.
     {
         std::lock_guard<std::mutex> lock(ackMu);
         for (auto &[conn, id] : shutdownAcks) {
@@ -159,8 +218,9 @@ ContestServer::drainAndStop()
         shutdownAcks.clear();
     }
 
-    // 5. Unblock every reader (a blocked recv() returns once its
-    //    socket is shut down) and join them.
+    // 4. Unblock every reader (a blocked recv() returns once its
+    //    socket is shut down) and join them; each closes its own
+    //    connection as it exits.
     std::vector<std::thread> readers;
     {
         std::lock_guard<std::mutex> lock(connMu);
@@ -172,12 +232,6 @@ ContestServer::drainAndStop()
     }
     for (std::thread &t : readers)
         t.join();
-    {
-        std::lock_guard<std::mutex> lock(connMu);
-        for (const ConnPtr &conn : connections)
-            closeFd(conn->fd);
-        connections.clear();
-    }
     if (!opts.quiet)
         inform("contest_serve drained: %llu requests (%llu ok, %llu "
                "failed, %llu refused), %llu warm hits",
@@ -210,11 +264,22 @@ ContestServer::readerLoop(ConnPtr conn)
         }
         handleFrame(conn, payload);
     }
-    conn->open.store(false);
-    // The connection is dead (EOF, error, or a poisoned stream);
-    // shut it down so the peer sees EOF instead of a silent stall.
-    // The fd itself is closed by drainAndStop, which still owns it.
+    // The connection is dead (EOF, error, a poisoned stream, or the
+    // drain). Shutting it down first makes a worker blocked sending
+    // to it return, so the write mutex comes free; with open false
+    // under that mutex, a late reply never writes into a reused fd
+    // number.
     ::shutdown(conn->fd, SHUT_RDWR);
+    std::lock_guard<std::mutex> lock(connMu);
+    {
+        std::lock_guard<std::mutex> writeLock(conn->writeMu);
+        conn->open.store(false);
+        closeFd(conn->fd);
+        conn->fd = -1;
+    }
+    connections.erase(
+        std::find(connections.begin(), connections.end(), conn));
+    exitedReaders.push_back(std::this_thread::get_id());
 }
 
 void
@@ -262,80 +327,67 @@ ContestServer::handleFrame(const ConnPtr &conn,
         requestShutdown();
         return;
       }
+      case ServeRequest::Kind::Single:
+      case ServeRequest::Kind::Contest:
+        if (!draining.load() && answerIfReady(conn, req))
+            return;
+        [[fallthrough]];
       default:
         admit(conn, std::move(req));
         return;
     }
 }
 
-void
-ContestServer::admit(const ConnPtr &conn, ServeRequest req)
+bool
+ContestServer::answerIfReady(const ConnPtr &conn,
+                             const ServeRequest &req)
 {
-    Job job;
-    job.conn = conn;
-    job.queuedAt = SimTimeline::now();
-    {
-        std::unique_lock<std::mutex> lock(qMu);
-        spaceCv.wait(lock, [this] {
-            return queue.size() < opts.admissionDepth
-                   || draining.load();
-        });
-        if (draining.load()) {
-            requestsRefused.fetch_add(1);
-            lock.unlock();
-            respond(conn,
-                    serveErrorResponse(
-                        req.id,
-                        "server is draining; request refused"));
-            return;
-        }
-        job.req = std::move(req);
-        queue.push_back(std::move(job));
-        qCv.notify_one();
+    const auto startedAt = SimTimeline::now();
+    JsonValue resp;
+    if (req.kind == ServeRequest::Kind::Single) {
+        const LoggedRun *run = runner_->singleIfReady(
+            req.bench, coreConfigByName(req.core));
+        if (run == nullptr)
+            return false;
+        resp = singleReply(req, *run);
+    } else {
+        const ContestResult *result = runner_->contestedIfReady(
+            req.bench, coreConfigs(req), ContestConfig{},
+            req.traceLenOverride);
+        if (result == nullptr)
+            return false;
+        resp = contestReply(req, *result);
     }
+    // Warm by construction: nothing ran for this request.
+    respondOk(conn, std::move(resp), startedAt, startedAt, true);
+    return true;
 }
 
 void
-ContestServer::dispatcherLoop()
+ContestServer::admit(const ConnPtr &conn, ServeRequest req)
 {
-    for (;;) {
-        std::vector<Job> batch;
-        {
-            std::unique_lock<std::mutex> lock(qMu);
-            qCv.wait(lock, [this] {
-                return !queue.empty() || draining.load();
-            });
-            if (queue.empty() && draining.load())
-                break;
-            // Take everything admitted so far as one batch: a burst
-            // of requests costs one dispatcher wakeup, not one per
-            // request.
-            while (!queue.empty()) {
-                batch.push_back(std::move(queue.front()));
-                queue.pop_front();
-            }
-            spaceCv.notify_all();
+    const auto queuedAt = SimTimeline::now();
+    {
+        std::unique_lock<std::mutex> lock(inFlightMu);
+        inFlightCv.wait(lock, [this] {
+            return inFlight < opts.admissionDepth || draining.load();
+        });
+        if (draining.load()) {
+            lock.unlock();
+            requestsRefused.fetch_add(1);
+            respond(conn, serveErrorResponse(
+                              req.id,
+                              "server is draining; request refused"));
+            return;
         }
-        admissionBatches.fetch_add(1);
-        std::uint64_t prev = maxBatch.load();
-        while (batch.size() > prev
-               && !maxBatch.compare_exchange_weak(prev,
-                                                  batch.size())) {
-        }
-        {
-            std::lock_guard<std::mutex> lock(inFlightMu);
-            inFlight += batch.size();
-        }
-        for (Job &job : batch) {
-            auto shared = std::make_shared<Job>(std::move(job));
-            pool.post([this, shared] {
-                execute(*shared);
-                std::lock_guard<std::mutex> lock(inFlightMu);
-                --inFlight;
-                inFlightCv.notify_all();
-            });
-        }
+        ++inFlight;
     }
+    pool.post([this, job = Job{conn, std::move(req), queuedAt}] {
+        execute(job);
+        std::lock_guard<std::mutex> lock(inFlightMu);
+        --inFlight;
+        inFlightCv.notify_all();
+    });
 }
 
 void
@@ -343,74 +395,50 @@ ContestServer::execute(const Job &job)
 {
     const ServeRequest &req = job.req;
     const auto startedAt = SimTimeline::now();
-    JsonValue resp = serveOkResponse(req);
-    // A single or contest request is warm unless it materialized its
-    // result (the Runner ran the once-latch body for it): a twin that
-    // waited on the latch, or a result an earlier request of any kind
-    // materialized, reads warm.
-    bool warm = false;
-    bool materialized = false;
-    bool failed = false;
+    JsonValue resp;
+    // Sleep and experiment replies are cold. A single or contest
+    // reply is warm unless this call materialized its result (ran
+    // the Runner's once-latch body): a twin that waited on the
+    // latch, or a result that landed after the reader's probe, reads
+    // warm.
+    bool materialized = true;
 
     switch (req.kind) {
-      case ServeRequest::Kind::Sleep: {
+      case ServeRequest::Kind::Sleep:
         std::this_thread::sleep_for(
             std::chrono::milliseconds(req.sleepMs));
+        resp = serveOkResponse(req);
         resp.set("slept_ms",
                  JsonValue::number(
                      static_cast<double>(req.sleepMs)));
         break;
-      }
-      case ServeRequest::Kind::Single: {
-        const LoggedRun &run =
-            runner_->single(req.bench, coreConfigByName(req.core), 0,
-                            &materialized);
-        warm = !materialized;
-        resp.set("time_ps",
-                 JsonValue::number(static_cast<double>(
-                     run.result.timePs.count())));
-        resp.set("ipt", JsonValue::number(run.result.ipt));
-        resp.set("energy_nj",
-                 JsonValue::number(run.result.energy.totalNj()));
+      case ServeRequest::Kind::Single:
+        resp = singleReply(
+            req, runner_->single(req.bench, coreConfigByName(req.core),
+                                 0, &materialized));
         break;
-      }
-      case ServeRequest::Kind::Contest: {
-        std::vector<CoreConfig> cores;
-        cores.reserve(req.cores.size());
-        for (const std::string &name : req.cores)
-            cores.push_back(coreConfigByName(name));
-        const ContestResult &result =
-            runner_->contested(req.bench, cores, ContestConfig{},
-                               req.traceLenOverride, &materialized);
-        warm = !materialized;
-        resp.set("time_ps",
-                 JsonValue::number(
-                     static_cast<double>(result.timePs.count())));
-        resp.set("ipt", JsonValue::number(result.ipt));
-        resp.set("lead_changes",
-                 JsonValue::number(static_cast<double>(
-                     result.leadChanges)));
-        resp.set("energy_nj",
-                 JsonValue::number(result.totalEnergyNj()));
-        JsonValue lead = JsonValue::array();
-        for (double f : result.leadFraction)
-            lead.push(JsonValue::number(f));
-        resp.set("lead_fraction", std::move(lead));
+      case ServeRequest::Kind::Contest:
+        resp = contestReply(
+            req, runner_->contested(req.bench, coreConfigs(req),
+                                    ContestConfig{},
+                                    req.traceLenOverride,
+                                    &materialized));
         break;
-      }
       case ServeRequest::Kind::Experiment: {
         const ExperimentInfo *info =
             ExperimentRegistry::instance().find(req.experiment);
         if (info == nullptr || !info->inSuite) {
-            failed = true;
-            resp = serveErrorResponse(
-                req.id, info == nullptr
-                            ? "unknown experiment '"
-                                  + req.experiment + "'"
+            requestsFailed.fetch_add(1);
+            respond(job.conn,
+                    serveErrorResponse(
+                        req.id,
+                        info == nullptr
+                            ? "unknown experiment '" + req.experiment
+                                  + "'"
                             : "experiment '" + req.experiment
                                   + "' is standalone-only and "
-                                    "cannot be served");
-            break;
+                                    "cannot be served"));
+            return;
         }
         ArtifactSink sink("", false);
         ExperimentContext ctx{*runner_, sink, *info};
@@ -418,33 +446,38 @@ ContestServer::execute(const Job &job)
         JsonValue artifacts = JsonValue::array();
         for (const FigureArtifact &a : sink.emitted())
             artifacts.push(a.toJson());
+        resp = serveOkResponse(req);
         resp.set("artifacts", std::move(artifacts));
         break;
       }
       default:
-        failed = true;
-        resp = serveErrorResponse(req.id,
-                                  "request kind cannot be executed "
-                                  "by a pool worker");
-        break;
-    }
-
-    const auto endedAt = SimTimeline::now();
-    if (!failed) {
-        if (warm)
-            warmHits.fetch_add(1);
-        JsonValue timing = JsonValue::object();
-        timing.set("queue_ms", JsonValue::number(msBetween(
-                                   job.queuedAt, startedAt)));
-        timing.set("run_ms",
-                   JsonValue::number(msBetween(startedAt, endedAt)));
-        timing.set("warm", JsonValue::boolean(warm));
-        resp.set("timing", std::move(timing));
-        requestsOk.fetch_add(1);
-    } else {
         requestsFailed.fetch_add(1);
+        respond(job.conn, serveErrorResponse(
+                              req.id, "request kind cannot be executed "
+                                      "by a pool worker"));
+        return;
     }
-    respond(job.conn, resp);
+    respondOk(job.conn, std::move(resp), job.queuedAt, startedAt,
+              !materialized);
+}
+
+void
+ContestServer::respondOk(const ConnPtr &conn, JsonValue resp,
+                         SimTimeline::Clock::time_point queuedAt,
+                         SimTimeline::Clock::time_point startedAt,
+                         bool warm)
+{
+    JsonValue timing = JsonValue::object();
+    timing.set("queue_ms",
+               JsonValue::number(msBetween(queuedAt, startedAt)));
+    timing.set("run_ms", JsonValue::number(
+                             msBetween(startedAt, SimTimeline::now())));
+    timing.set("warm", JsonValue::boolean(warm));
+    resp.set("timing", std::move(timing));
+    if (warm)
+        warmHits.fetch_add(1);
+    requestsOk.fetch_add(1);
+    respond(conn, resp);
 }
 
 JsonValue
@@ -459,12 +492,6 @@ ContestServer::statsJson(const ServeRequest &req)
     server.set("seed", JsonValue::number(
                            static_cast<double>(opts.seed)));
     server.set("draining", JsonValue::boolean(draining.load()));
-    {
-        std::lock_guard<std::mutex> lock(qMu);
-        server.set("queue_depth",
-                   JsonValue::number(
-                       static_cast<double>(queue.size())));
-    }
     {
         std::lock_guard<std::mutex> lock(inFlightMu);
         server.set("in_flight",
@@ -494,15 +521,6 @@ ContestServer::statsJson(const ServeRequest &req)
                  JsonValue::number(
                      static_cast<double>(warmHits.load())));
     server.set("requests", std::move(requests));
-
-    JsonValue admission = JsonValue::object();
-    admission.set("batches",
-                  JsonValue::number(static_cast<double>(
-                      admissionBatches.load())));
-    admission.set("max_batch",
-                  JsonValue::number(
-                      static_cast<double>(maxBatch.load())));
-    server.set("admission", std::move(admission));
 
     JsonValue sims = JsonValue::object();
     sims.set("singles_executed",

@@ -9,26 +9,32 @@
  * Threading model, in order of a request's life:
  *
  *  - an accept thread poll()s the listening socket (and a self-pipe
- *    used for shutdown wakeup) and spawns one reader thread per
- *    connection;
+ *    used for shutdown wakeup), joins the reader threads that have
+ *    exited, and spawns one reader thread per connection;
  *  - the reader decodes frames, parses and validates the request,
- *    answers ping/stats/shutdown inline, and pushes simulation work
- *    into a bounded admission queue (blocking the connection — not
- *    the server — when the queue is full);
- *  - a dispatcher thread drains the admission queue in batches and
- *    posts each request into the ThreadPool, whose `--jobs` workers
- *    execute simulations through the shared Runner (memoized, disk
- *    cached);
- *  - the worker writes the response back under the connection's
- *    write mutex, so responses from concurrent requests interleave
- *    per frame, never mid-frame.
+ *    and answers ping/stats/shutdown inline, as well as any single
+ *    or contest request whose result the Runner already holds (a
+ *    warm hit never waits for a worker);
+ *  - every other request goes from the reader straight into the
+ *    ThreadPool, whose `--jobs` workers execute simulations through
+ *    the shared Runner (memoized, disk cached). At most
+ *    `--admission-depth` jobs are in flight, queued plus running; a
+ *    reader whose request would exceed that blocks (its connection,
+ *    not the server) until a job finishes;
+ *  - replies are written under the connection's write mutex, so
+ *    replies interleave per frame, never mid-frame. A reply may
+ *    overtake an earlier request's on the same connection (a warm
+ *    hit passes a simulation); clients match replies by `id`;
+ *  - when a connection ends, its reader closes the fd and drops the
+ *    connection, so connections do not hold fds or threads past
+ *    their life.
  *
  * Graceful drain (SIGTERM or a `shutdown` request): stop accepting,
- * refuse new work with a structured error, flush the admission
- * queue, wait for in-flight simulations, ack the shutdown
- * request(s), then close every connection. requestShutdown() is
- * async-signal-safe: it performs one atomic store and one pipe
- * write; all condition-variable traffic happens on ordinary threads.
+ * refuse new work with a structured error, wait for in-flight jobs,
+ * ack the shutdown request(s), then close every connection.
+ * requestShutdown() is async-signal-safe: it performs one atomic
+ * store and one pipe write; all condition-variable traffic happens
+ * on ordinary threads.
  */
 
 #ifndef CONTEST_SERVE_SERVER_HH
@@ -37,7 +43,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -69,7 +74,10 @@ struct ServeOptions
     std::uint64_t seed = 2009;
     /** Persistent result-cache directory; empty disables it. */
     std::string cacheDir;
-    /** Admission-queue depth; readers block once it is full. */
+    /** Most simulation jobs in flight at once, queued plus
+     *  running. A reader whose request would exceed it blocks until
+     *  a job finishes; warm hits and ping/stats/shutdown never
+     *  count. */
     std::size_t admissionDepth = 64;
     /** Suppress the startup/shutdown log lines (tests). */
     bool quiet = false;
@@ -86,9 +94,9 @@ class ContestServer
     ContestServer &operator=(const ContestServer &) = delete;
 
     /**
-     * Bind the listening socket and launch the accept and dispatcher
-     * threads. @return false with @p error filled when the socket
-     * cannot be bound.
+     * Bind the listening socket and launch the accept thread.
+     * @return false with @p error filled when the socket cannot be
+     * bound.
      */
     bool start(std::string *error);
 
@@ -113,7 +121,8 @@ class ContestServer
 
   private:
     /** One client connection. open flips false on read error, EOF,
-     *  or drain; the write mutex keeps frames from interleaving. */
+     *  or drain; the write mutex keeps frames from interleaving. The
+     *  reader closes fd (under both connMu and writeMu) as it exits. */
     struct Connection
     {
         int fd = -1;
@@ -131,13 +140,24 @@ class ContestServer
     };
 
     void acceptLoop();
-    void dispatcherLoop();
+    /** Join the reader threads that have exited. */
+    void joinExitedReaders();
     void readerLoop(ConnPtr conn);
     void handleFrame(const ConnPtr &conn, const std::string &payload);
-    /** Enqueue a simulation request, or refuse it while draining. */
+    /** Answer a single or contest request on the reader thread if
+     *  the Runner already holds its result; false if it does not. */
+    bool answerIfReady(const ConnPtr &conn, const ServeRequest &req);
+    /** Post a job to the pool once fewer than admissionDepth are in
+     *  flight, or refuse it while draining. */
     void admit(const ConnPtr &conn, ServeRequest req);
     /** Execute one admitted job on a pool worker. */
     void execute(const Job &job);
+    /** Add the timing block to a successful reply, count it, and
+     *  send it. */
+    void respondOk(const ConnPtr &conn, JsonValue resp,
+                   SimTimeline::Clock::time_point queuedAt,
+                   SimTimeline::Clock::time_point startedAt,
+                   bool warm);
     void respond(const ConnPtr &conn, const JsonValue &resp);
     JsonValue statsJson(const ServeRequest &req);
     /** Run the drain protocol; called by the accept thread once
@@ -145,8 +165,9 @@ class ContestServer
     void drainAndStop();
 
     ServeOptions opts;
-    /** opts.jobs + 1 so the dispatcher thread, which posts but never
-     *  executes, leaves opts.jobs dedicated simulation workers. */
+    /** opts.jobs + 1: the pool counts a calling thread that runs
+     *  tasks beside its workers, and the server never donates one,
+     *  so this leaves opts.jobs worker threads. */
     ThreadPool pool;
     std::unique_ptr<ResultCache> cache;
     SimTimeline timeline;
@@ -158,17 +179,17 @@ class ContestServer
     bool started = false;
 
     std::thread acceptThread;
-    std::thread dispatcherThread;
 
+    /** Open connections, their reader threads (running or exited),
+     *  and the ids of the exited ones, which the accept thread joins
+     *  before it spawns the next reader. */
     std::mutex connMu;
     std::vector<ConnPtr> connections;
     std::vector<std::thread> readerThreads;
+    std::vector<std::thread::id> exitedReaders;
 
-    std::mutex qMu;
-    std::condition_variable qCv;      //!< dispatcher waits for work
-    std::condition_variable spaceCv;  //!< readers wait for room
-    std::deque<Job> queue;
-
+    /** Admitted jobs, queued in the pool or running; readers wait on
+     *  inFlightCv for room, the drain for zero. */
     std::mutex inFlightMu;
     std::condition_variable inFlightCv;
     std::size_t inFlight = 0;
@@ -185,8 +206,6 @@ class ContestServer
     std::atomic<std::uint64_t> requestsFailed{0};
     std::atomic<std::uint64_t> requestsRefused{0};
     std::atomic<std::uint64_t> warmHits{0};
-    std::atomic<std::uint64_t> admissionBatches{0};
-    std::atomic<std::uint64_t> maxBatch{0};
     /** @} */
 };
 

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "core/palette.hh"
 #include "harness/runner.hh"
 
@@ -94,6 +97,53 @@ TEST(Runner, ContestedPairRuns)
     auto r = runner.contestedPair("gcc", "twolf", "gzip");
     EXPECT_GT(r.ipt, 0.0);
     EXPECT_EQ(r.coreStats.size(), 2u);
+}
+
+TEST(Runner, IfReadyProbesSeeOnlyFinishedResults)
+{
+    Runner runner(8000, 7);
+    const CoreConfig &gcc = coreConfigByName("gcc");
+    const std::vector<CoreConfig> pair = {gcc, coreConfigByName("twolf")};
+    EXPECT_EQ(runner.singleIfReady("gcc", gcc), nullptr);
+    EXPECT_EQ(runner.contestedIfReady("gcc", pair, ContestConfig{}),
+              nullptr);
+
+    // A probe racing the simulations sees nothing until a result is
+    // finished, then the result itself.
+    const LoggedRun *singleSeen = nullptr;
+    const ContestResult *contestSeen = nullptr;
+    TimePs singlePs{};
+    TimePs contestPs{};
+    std::thread probe([&] {
+        while (singleSeen == nullptr || contestSeen == nullptr) {
+            if (singleSeen == nullptr) {
+                singleSeen = runner.singleIfReady("gcc", gcc);
+                if (singleSeen != nullptr)
+                    singlePs = singleSeen->result.timePs;
+            }
+            if (contestSeen == nullptr) {
+                contestSeen =
+                    runner.contestedIfReady("gcc", pair, ContestConfig{});
+                if (contestSeen != nullptr)
+                    contestPs = contestSeen->timePs;
+            }
+        }
+    });
+    const LoggedRun &run = runner.single("gcc", gcc);
+    const ContestResult &result =
+        runner.contested("gcc", pair, ContestConfig{});
+    probe.join();
+    EXPECT_EQ(singleSeen, &run);
+    EXPECT_EQ(singlePs, run.result.timePs);
+    EXPECT_EQ(contestSeen, &result);
+    EXPECT_EQ(contestPs, result.timePs);
+
+    // The trace length is part of the key.
+    EXPECT_EQ(runner.singleIfReady("gcc", gcc, 4000), nullptr);
+    EXPECT_EQ(runner.contestedIfReady("gcc", pair, ContestConfig{}, 4000),
+              nullptr);
+    EXPECT_EQ(runner.simulationsPerformed(), 1u);
+    EXPECT_EQ(runner.contestsPerformed(), 1u);
 }
 
 TEST(Runner, MatrixIsIdenticalForAnyJobCount)

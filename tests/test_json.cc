@@ -2,15 +2,21 @@
  * @file
  * Unit tests for the JSON document model behind the artifact
  * pipeline: construction, serialization, escaping, number
- * round-tripping, and the strict parser.
+ * round-tripping (byte for byte the output of the precision search
+ * jsonNumber() replaced), and the strict parser.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
+#include <vector>
 
 #include "common/json.hh"
+#include "common/rng.hh"
 
 namespace contest
 {
@@ -88,6 +94,73 @@ TEST(Json, IntegersPrintWithoutFraction)
     EXPECT_EQ(jsonNumber(400000.0), "400000");
     EXPECT_EQ(jsonNumber(-3.0), "-3");
     EXPECT_EQ(jsonNumber(0.0), "0");
+}
+
+/** The number formatting jsonNumber() must reproduce byte for byte:
+ *  %.0f for integers below 2^53, else every %.*g precision from 1
+ *  up until strtod gives back the bits. */
+std::string
+precisionSearchNumber(double v)
+{
+    if (!std::isfinite(v))
+        return v > 0 ? "1e999" : (v < 0 ? "-1e999" : "nan");
+    char buf[40];
+    if (v == std::floor(v) && std::fabs(v) < 9.007199254740992e15) {
+        std::snprintf(buf, sizeof(buf), "%.0f", v);
+        return buf;
+    }
+    for (int prec = 1; prec <= 17; ++prec) {
+        std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
+        if (std::strtod(buf, nullptr) == v)
+            break;
+    }
+    return buf;
+}
+
+TEST(Json, NumbersMatchThePrecisionSearch)
+{
+    using Limits = std::numeric_limits<double>;
+    Rng rng(2009);
+    std::vector<double> values;
+    // Random bit patterns (the non-finite ones included).
+    for (int i = 0; i < 20000; ++i)
+        values.push_back(std::bit_cast<double>(rng.next()));
+    // Short decimals, the shape of most simulation outputs.
+    for (int i = 0; i < 60000; ++i)
+        values.push_back(static_cast<double>(rng.below(10'000'000))
+                         / std::pow(10.0, rng.below(12)));
+    // Every power of two and both of its neighbours.
+    for (int e = Limits::min_exponent - Limits::digits;
+         e < Limits::max_exponent; ++e) {
+        const double p = std::ldexp(1.0, e);
+        values.push_back(p);
+        values.push_back(std::nextafter(p, 0.0));
+        values.push_back(std::nextafter(p, Limits::infinity()));
+    }
+    // Subnormals and the extremes.
+    for (int i = 0; i < 5000; ++i)
+        values.push_back(std::bit_cast<double>(
+            rng.next() & ((std::uint64_t{1} << 52) - 1)));
+    for (double v :
+         {Limits::denorm_min(), Limits::min(),
+          std::nextafter(Limits::min(), 0.0), Limits::max(),
+          Limits::epsilon(), 9.007199254740992e15, 0.0,
+          Limits::infinity(), Limits::quiet_NaN()})
+        values.push_back(v);
+    // And the negative of each.
+    const std::size_t positives = values.size();
+    for (std::size_t i = 0; i < positives; ++i)
+        values.push_back(-values[i]);
+
+    std::size_t mismatches = 0;
+    for (double v : values) {
+        const std::string got = jsonNumber(v);
+        const std::string want = precisionSearchNumber(v);
+        if (got != want && ++mismatches <= 10)
+            ADD_FAILURE() << std::bit_cast<std::uint64_t>(v) << ": "
+                          << got << " vs " << want;
+    }
+    EXPECT_EQ(mismatches, 0u) << "of " << values.size() << " values";
 }
 
 TEST(Json, DocumentRoundTrip)

@@ -5,13 +5,18 @@
  * request parsing and validation (every malformed shape must come
  * back as a structured error, never a panic), and the live server —
  * including the concurrency contract (two identical concurrent
- * requests simulate exactly once) and graceful-drain semantics
- * (in-flight work completes, new work is refused, the shutdown ack
- * arrives after the drain).
+ * requests simulate exactly once), the admission bound, warm hits
+ * that never wait for a worker, connection reaping, and
+ * graceful-drain semantics (in-flight work completes, new work is
+ * refused, the shutdown ack arrives after the drain).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <filesystem>
+#include <poll.h>
 #include <string>
 #include <thread>
 #include <unistd.h>
@@ -77,6 +82,34 @@ errorText(const JsonValue &resp)
 {
     const JsonValue *err = resp.find("error");
     return err != nullptr && err->isString() ? err->asString() : "";
+}
+
+JsonValue
+sleepRequest(double ms, double id)
+{
+    JsonValue req = request("sleep", id);
+    req.set("ms", JsonValue::number(ms));
+    return req;
+}
+
+/** The server's `in_flight` count, read through @p client. */
+double
+inFlight(ServeClient &client)
+{
+    JsonValue resp;
+    std::string error;
+    if (!client.call(request("stats", 0), resp, &error))
+        return -1.0;
+    return resp.at("server").at("in_flight").asNumber();
+}
+
+/** Open file descriptors of this process. */
+std::size_t
+openFds()
+{
+    return static_cast<std::size_t>(std::distance(
+        std::filesystem::directory_iterator("/proc/self/fd"),
+        std::filesystem::directory_iterator()));
 }
 
 TEST(ServeFrame, RoundTripsThroughArbitraryChunking)
@@ -441,6 +474,118 @@ TEST(ServeServer, HandlesPartialWritesAndPipelinedRequests)
     EXPECT_TRUE(okFlag(resp));
     EXPECT_EQ(resp.at("id").asNumber(), 2.0);
     EXPECT_EQ(resp.at("kind").asString(), "stats");
+
+    server.requestShutdown();
+    server.waitUntilStopped();
+    ::unlink(server.target().unixPath.c_str());
+}
+
+TEST(ServeServer, AdmissionDepthBoundsAdmittedWork)
+{
+    ServeOptions opts = testOptions("depth", 1);
+    opts.admissionDepth = 2;
+    ContestServer server(opts);
+    std::string error;
+    ASSERT_TRUE(server.start(&error)) << error;
+
+    // One connection pipelines eight sleeps without reading a reply.
+    const int kSleeps = 8;
+    ServeClient a;
+    ASSERT_TRUE(a.connect(server.target(), &error)) << error;
+    for (int i = 0; i < kSleeps; ++i)
+        ASSERT_TRUE(a.send(sleepRequest(100, i), &error)) << error;
+
+    std::atomic<bool> done{false};
+    int oks = 0;
+    std::thread replies([&] {
+        std::string err;
+        JsonValue resp;
+        for (int i = 0; i < kSleeps && a.recv(resp, &err); ++i)
+            oks += okFlag(resp) ? 1 : 0;
+        done.store(true);
+    });
+
+    // Another connection watches in_flight while they run: queued
+    // plus running jobs never exceed the depth.
+    ServeClient b;
+    ASSERT_TRUE(b.connect(server.target(), &error)) << error;
+    double peak = 0.0;
+    while (!done.load()) {
+        peak = std::max(peak, inFlight(b));
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    replies.join();
+    EXPECT_EQ(oks, kSleeps);
+    EXPECT_EQ(peak, 2.0);
+
+    server.requestShutdown();
+    server.waitUntilStopped();
+    ::unlink(server.target().unixPath.c_str());
+}
+
+TEST(ServeServer, WarmHitDoesNotWaitForAWorker)
+{
+    ContestServer server(testOptions("inline", 1));
+    std::string error;
+    ASSERT_TRUE(server.start(&error)) << error;
+
+    ServeClient a;
+    ASSERT_TRUE(a.connect(server.target(), &error)) << error;
+    JsonValue resp;
+    ASSERT_TRUE(a.call(singleRequest("gcc", "twolf", 1), resp, &error))
+        << error;
+    ASSERT_TRUE(okFlag(resp)) << errorText(resp);
+    const double coldPs = resp.at("time_ps").asNumber();
+
+    // Park the only worker in a sleep.
+    ASSERT_TRUE(a.send(sleepRequest(500, 2), &error)) << error;
+    ServeClient b;
+    ASSERT_TRUE(b.connect(server.target(), &error)) << error;
+    for (int tries = 0; tries < 200 && inFlight(b) < 1.0; ++tries)
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    ASSERT_GE(inFlight(b), 1.0);
+
+    // The materialized single is answered without the worker...
+    ASSERT_TRUE(b.call(singleRequest("gcc", "twolf", 3), resp, &error))
+        << error;
+    ASSERT_TRUE(okFlag(resp)) << errorText(resp);
+    EXPECT_EQ(resp.at("time_ps").asNumber(), coldPs);
+    EXPECT_TRUE(resp.at("timing").at("warm").asBool());
+    EXPECT_EQ(resp.at("timing").at("queue_ms").asNumber(), 0.0);
+
+    // ...so it arrives while the sleep's reply is still owed.
+    pollfd pending = {a.rawFd(), POLLIN, 0};
+    EXPECT_EQ(::poll(&pending, 1, 0), 0);
+    ASSERT_TRUE(a.recv(resp, &error)) << error;
+    EXPECT_EQ(resp.at("id").asNumber(), 2.0);
+    EXPECT_TRUE(okFlag(resp));
+
+    server.requestShutdown();
+    server.waitUntilStopped();
+    ::unlink(server.target().unixPath.c_str());
+}
+
+TEST(ServeServer, ReapsConnectionsWhenTheirReadersExit)
+{
+    ContestServer server(testOptions("reap", 1));
+    std::string error;
+    ASSERT_TRUE(server.start(&error)) << error;
+
+    const std::size_t before = openFds();
+    for (int i = 0; i < 300; ++i) {
+        ServeClient client;
+        ASSERT_TRUE(client.connect(server.target(), &error)) << error;
+        JsonValue resp;
+        ASSERT_TRUE(client.call(request("ping", i), resp, &error))
+            << error;
+    }
+    // The last reader may still be closing its fd.
+    std::size_t after = openFds();
+    for (int tries = 0; tries < 200 && after > before + 2; ++tries) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        after = openFds();
+    }
+    EXPECT_LE(after, before + 2);
 
     server.requestShutdown();
     server.waitUntilStopped();
