@@ -1,18 +1,16 @@
 /**
  * @file
  * Shared scaffolding for the experiment suite: the parallel sweep
- * helper with wall-clock accounting, and the HET-design experiment
- * used by Figures 10-13. Experiments register themselves with
- * REGISTER_EXPERIMENT (harness/registry.hh) and emit FigureArtifacts
- * (harness/artifact.hh); the contest_bench driver — also linked into
- * every standalone figure binary — selects and runs them.
+ * helper and the HET-design experiment used by Figures 10-13.
+ * Experiments register themselves with REGISTER_EXPERIMENT
+ * (harness/registry.hh) and emit FigureArtifacts
+ * (harness/artifact.hh); the contest_bench driver selects and runs
+ * them.
  */
 
 #ifndef CONTEST_BENCH_COMMON_HH
 #define CONTEST_BENCH_COMMON_HH
 
-#include <chrono>
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -26,91 +24,19 @@ namespace contest
 {
 
 /**
- * Wall-clock accounting of one runParallel() sweep. taskSec sums the
- * per-task wall times, i.e. the serial-equivalent cost, so
- * speedup() is the measured parallel speedup of the sweep.
- */
-struct ParallelStats
-{
-    unsigned jobs = 1;
-    std::size_t tasks = 0;
-    double wallSec = 0.0;
-    double taskSec = 0.0;
-
-    double
-    speedup() const
-    {
-        return wallSec > 0.0 ? taskSec / wallSec : 1.0;
-    }
-};
-
-/**
  * Map fn over [0, n) on the process-wide thread pool and return the
  * results in index order. Each task writes only its own slot, so the
  * output is bit-identical to a serial loop for any CONTEST_JOBS.
  */
 template <typename Fn>
 auto
-runParallel(std::size_t n, Fn fn, ParallelStats *stats = nullptr)
+runParallel(std::size_t n, Fn fn)
     -> std::vector<decltype(fn(std::size_t{0}))>
 {
-    using Clock = std::chrono::steady_clock;
-    using R = decltype(fn(std::size_t{0}));
-    std::vector<R> out(n);
-    std::vector<double> task_sec(n, 0.0);
-    auto wall_start = Clock::now();
-    ThreadPool::global().parallelFor(n, [&](std::size_t i) {
-        auto t0 = Clock::now();
-        out[i] = fn(i);
-        task_sec[i] =
-            std::chrono::duration<double>(Clock::now() - t0).count();
-    });
-    if (stats != nullptr) {
-        stats->jobs = ThreadPool::global().jobs();
-        stats->tasks = n;
-        stats->wallSec = std::chrono::duration<double>(Clock::now()
-                                                       - wall_start)
-                             .count();
-        stats->taskSec = 0.0;
-        for (double s : task_sec)
-            stats->taskSec += s;
-    }
+    std::vector<decltype(fn(std::size_t{0}))> out(n);
+    ThreadPool::global().parallelFor(
+        n, [&](std::size_t i) { out[i] = fn(i); });
     return out;
-}
-
-/** A sweep's measured wall-clock speedup, as an artifact note. */
-inline std::string
-parallelNote(const ParallelStats &s)
-{
-    char buf[160];
-    std::snprintf(buf, sizeof(buf),
-                  "parallel harness: %zu tasks on %u jobs, wall "
-                  "%.2f s, serial-equivalent %.2f s (%.2fx "
-                  "wall-clock speedup)",
-                  s.tasks, s.jobs, s.wallSec, s.taskSec, s.speedup());
-    return buf;
-}
-
-/**
- * Warm every (benchmark, core type) cell of the runner's IPT matrix
- * through runParallel() so the sweep's wall-clock speedup can be
- * reported; the subsequent matrix() call assembles from cache.
- */
-inline ParallelStats
-warmMatrix(Runner &runner)
-{
-    const auto benches = profileNames();
-    const auto &palette = appendixAPalette();
-    ParallelStats ps;
-    runParallel(
-        benches.size() * palette.size(),
-        [&](std::size_t i) {
-            runner.single(benches[i / palette.size()],
-                          palette[i % palette.size()].name);
-            return 0;
-        },
-        &ps);
-    return ps;
 }
 
 /**

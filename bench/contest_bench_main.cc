@@ -1,26 +1,22 @@
 /**
  * @file
- * Driver main for the experiment suite. Linked into contest_bench
- * (all experiments in one process, sharing one Runner so every
- * single-core simulation happens at most once for the whole suite)
- * and into each standalone figure binary (which registers exactly
- * one experiment and therefore runs it when invoked with no
- * selection).
+ * Driver main for the experiment suite: contest_bench runs any
+ * selection of the registered experiments in one process, sharing
+ * one Runner so every simulation happens at most once for the whole
+ * suite.
  *
- * With more than one experiment selected and more than one job, the
- * suite runs under the pipelined SuiteScheduler: every experiment is
- * posted to the shared pool up front and results are drained in
- * registry order, so stdout and artifacts are byte-identical to the
- * sequential loop while experiment bodies overlap. A
- * single-experiment invocation (every standalone figure binary),
- * --jobs 1, or --sequential bypasses the scheduler entirely and runs
- * the plain sequential loop.
+ * Every run goes through the SuiteScheduler: the selected
+ * experiments are posted to the shared pool up front and drained in
+ * registry order, so experiment bodies overlap while stdout and
+ * artifacts come out in the same order whichever body finishes
+ * first. At --jobs 1 the draining thread runs each body in turn, in
+ * order.
  *
  * Usage:
  *   contest_bench --list
  *   contest_bench fig06 fig08 [--out-dir artifacts]
  *   contest_bench --all [--fast] [--jobs N] [--cache-dir DIR]
- *                 [--timing] [--sequential]
+ *                 [--timing]
  */
 
 #include <chrono>
@@ -55,11 +51,7 @@ printUsage(std::FILE *to)
         "  --trace-len N    instructions per trace\n"
         "  --seed N         workload generation seed\n"
         "  --jobs N         parallel harness concurrency\n"
-        "  --timing         per-simulation timeline report\n"
-        "  --sequential     disable the pipelined scheduler\n"
-        "\n"
-        "With no selection, a binary with exactly one registered\n"
-        "experiment runs it; contest_bench itself lists and exits.\n");
+        "  --timing         per-simulation timeline report\n");
 }
 
 /** Flags that take a value as `--flag V` or `--flag=V`. */
@@ -90,7 +82,6 @@ main(int argc, char **argv)
     bool run_all = false;
     bool list_only = false;
     bool timing = false;
-    bool sequential = false;
     std::string out_dir;
     std::string value;
     std::vector<std::string> selected;
@@ -103,8 +94,6 @@ main(int argc, char **argv)
             setenv("CONTEST_FAST", "1", 1);
         } else if (std::strcmp(argv[i], "--timing") == 0) {
             timing = true;
-        } else if (std::strcmp(argv[i], "--sequential") == 0) {
-            sequential = true;
         } else if (valueFlag(argc, argv, i, "--out-dir", value)) {
             out_dir = value;
         } else if (valueFlag(argc, argv, i, "--cache-dir", value)) {
@@ -132,17 +121,14 @@ main(int argc, char **argv)
 
     if (list_only) {
         for (const ExperimentInfo *e : registry.all())
-            std::printf("%-22s %s%s\n", e->name.c_str(),
-                        e->title.c_str(),
-                        e->inSuite ? "" : " [standalone]");
+            std::printf("%-22s %s\n", e->name.c_str(),
+                        e->title.c_str());
         return 0;
     }
 
     std::vector<const ExperimentInfo *> to_run;
     if (run_all) {
-        for (const ExperimentInfo *e : registry.all())
-            if (e->inSuite)
-                to_run.push_back(e);
+        to_run = registry.all();
     } else if (!selected.empty()) {
         for (const auto &name : selected) {
             const ExperimentInfo *e = registry.find(name);
@@ -157,8 +143,6 @@ main(int argc, char **argv)
             }
             to_run.push_back(e);
         }
-    } else if (registry.size() == 1) {
-        to_run = registry.all(); // standalone figure binary
     } else {
         printUsage(stdout);
         std::printf("\nregistered experiments:\n");
@@ -180,22 +164,7 @@ main(int argc, char **argv)
                     sec);
         std::fflush(stdout);
     };
-    if (sequential || pool.jobs() <= 1 || to_run.size() <= 1) {
-        // Scheduler bypass: a single experiment (every standalone
-        // figure binary) or a serial run pays no scheduler setup —
-        // this is exactly the original sequential loop.
-        for (const ExperimentInfo *e : to_run) {
-            auto exp_start = Clock::now();
-            ExperimentContext ctx{runner, sink, *e};
-            e->fn(ctx);
-            report(*e, std::chrono::duration<double>(Clock::now()
-                                                     - exp_start)
-                           .count());
-        }
-    } else {
-        SuiteScheduler scheduler(runner, sink, pool);
-        scheduler.run(to_run, report);
-    }
+    SuiteScheduler(runner, sink, pool).run(to_run, report);
 
     double suite_sec =
         std::chrono::duration<double>(Clock::now() - suite_start)

@@ -6,8 +6,8 @@
  * requests over a Unix or loopback-TCP socket (serve/server.hh has
  * the threading model, serve/protocol.hh the wire schema).
  *
- * Linked with every suite experiment translation unit, so
- * `{"kind": "experiment", "name": "fig06"}` runs any in-suite
+ * Linked with the suite's experiment objects, so
+ * `{"kind": "experiment", "name": "fig06"}` runs any registered
  * experiment against the shared warm Runner.
  *
  * Usage:
@@ -16,10 +16,12 @@
  *                 [--cache-dir DIR] [--admission-depth N] [--quiet]
  *
  * SIGTERM and SIGINT drain gracefully: in-flight requests complete,
- * new ones are refused, then the process exits 0.
+ * new ones are refused, then the process exits 0. A malformed
+ * option exits 2 with the usage.
  */
 
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -55,18 +57,30 @@ printUsage(std::FILE *to)
         "usage: contest_serve [options]\n"
         "\n"
         "  --socket PATH       listen on a Unix socket at PATH\n"
-        "  --port N            listen on 127.0.0.1:N (0 picks an\n"
-        "                      ephemeral port, printed at startup)\n"
+        "  --port N            listen on 127.0.0.1:N, N <= 65535\n"
+        "                      (0 picks an ephemeral port, printed\n"
+        "                      at startup)\n"
         "  --jobs N            simulation workers (default\n"
         "                      CONTEST_JOBS / hardware concurrency)\n"
         "  --trace-len N       instructions per trace\n"
         "  --seed N            workload generation seed\n"
         "  --cache-dir DIR     persistent result cache\n"
         "  --admission-depth N most simulation jobs in flight,\n"
-        "                      queued plus running (default 64);\n"
+        "                      queued plus running, N >= 1\n"
+        "                      (default 64);\n"
         "                      further requests wait in their\n"
         "                      connection\n"
         "  --quiet             suppress startup/shutdown log lines\n");
+}
+
+/** Reject @p flag's @p value: say why, print the usage, exit 2. */
+int
+badValue(const char *flag, const std::string &value, const char *why)
+{
+    std::fprintf(stderr, "contest_serve: %s '%s': %s\n", flag,
+                 value.c_str(), why);
+    printUsage(stderr);
+    return 2;
 }
 
 bool
@@ -95,11 +109,17 @@ main(int argc, char **argv)
 
     ServeOptions opts;
     std::string value;
+    std::uint64_t number = 0;
+    const char *why = nullptr;
     for (int i = 1; i < argc; ++i) {
         if (valueFlag(argc, argv, i, "--socket", value)) {
             opts.target.unixPath = value;
         } else if (valueFlag(argc, argv, i, "--port", value)) {
-            opts.target.port = std::atoi(value.c_str());
+            if (!parseU64(value.c_str(), number, &why))
+                return badValue("--port", value, why);
+            if (number > 65535)
+                return badValue("--port", value, "above 65535");
+            opts.target.port = static_cast<int>(number);
         } else if (valueFlag(argc, argv, i, "--trace-len", value)) {
             setenv("CONTEST_TRACE_LEN", value.c_str(), 1);
         } else if (valueFlag(argc, argv, i, "--seed", value)) {
@@ -108,10 +128,12 @@ main(int argc, char **argv)
             opts.cacheDir = value;
         } else if (valueFlag(argc, argv, i, "--admission-depth",
                              value)) {
-            opts.admissionDepth = static_cast<std::size_t>(
-                std::atoi(value.c_str()));
-            fatal_if(opts.admissionDepth == 0,
-                     "--admission-depth needs a positive value");
+            if (!parseU64(value.c_str(), number, &why))
+                return badValue("--admission-depth", value, why);
+            if (number == 0)
+                return badValue("--admission-depth", value,
+                                "must be at least 1");
+            opts.admissionDepth = static_cast<std::size_t>(number);
         } else if (std::strcmp(argv[i], "--quiet") == 0) {
             opts.quiet = true;
         } else if (std::strcmp(argv[i], "--help") == 0

@@ -35,18 +35,12 @@ runFig06(ExperimentContext &ctx)
     };
     const auto benches = profileNames();
     unsigned top = benchFastMode() ? 2 : 5;
-    ParallelStats ps;
-    auto rows = runParallel(
-        benches.size(),
-        [&](std::size_t i) {
-            Row row;
-            row.own =
-                runner.single(benches[i], benches[i]).result.ipt;
-            row.choice = runner.bestContestingPair(benches[i], {},
-                                                   top);
-            return row;
-        },
-        &ps);
+    auto rows = runParallel(benches.size(), [&](std::size_t i) {
+        Row row;
+        row.own = runner.single(benches[i], benches[i]).result.ipt;
+        row.choice = runner.bestContestingPair(benches[i], {}, top);
+        return row;
+    });
 
     std::vector<double> speedups;
     for (std::size_t i = 0; i < benches.size(); ++i) {
@@ -73,7 +67,6 @@ runFig06(ExperimentContext &ctx)
              + benches[max_at]
              + "). Paper: average +15%, maximum +25% (gcc); four of "
                "eleven benchmarks above +18%.");
-    art.note(parallelNote(ps));
     ctx.sink.emit(art);
 }
 

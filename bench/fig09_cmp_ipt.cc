@@ -17,7 +17,6 @@ runFig09(ExperimentContext &ctx)
 {
     FigureArtifact art = ctx.artifact();
     Runner &runner = ctx.runner;
-    ParallelStats ps = warmMatrix(runner);
     const auto &m = runner.matrix();
 
     auto het_a = designCmp(m, 2, Merit::Avg, "HET-A");
@@ -49,7 +48,6 @@ runFig09(ExperimentContext &ctx)
     art.note("Paper: the choice of available core types visibly "
              "moves individual benchmarks (Figure 9); HET-ALL "
              "upper-bounds every row.");
-    art.note(parallelNote(ps));
     ctx.sink.emit(art);
 }
 

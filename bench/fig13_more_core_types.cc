@@ -35,14 +35,9 @@ runFig13(ExperimentContext &ctx)
 
     // The per-benchmark HET-C contests are independent: sweep them
     // on the harness pool.
-    ParallelStats ps;
-    auto contests = runParallel(
-        m.numBenches(),
-        [&](std::size_t b) {
-            return runner.contestedPair(m.benchNames[b], core_a,
-                                        core_b);
-        },
-        &ps);
+    auto contests = runParallel(m.numBenches(), [&](std::size_t b) {
+        return runner.contestedPair(m.benchNames[b], core_a, core_b);
+    });
 
     std::vector<double> c_ipts;
     std::vector<double> d_ipts;
@@ -72,7 +67,6 @@ runFig13(ExperimentContext &ctx)
                "three types, and on average matches eleven types — a "
                "more cost-effective route to single-thread "
                "performance than more core types.");
-    art.note(parallelNote(ps));
     ctx.sink.emit(art);
 }
 

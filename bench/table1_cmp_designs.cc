@@ -20,7 +20,6 @@ runTable1(ExperimentContext &ctx)
 {
     FigureArtifact art = ctx.artifact();
     Runner &runner = ctx.runner;
-    ParallelStats ps = warmMatrix(runner);
     const auto &m = runner.matrix();
 
     auto het_a = designCmp(m, 2, Merit::Avg, "HET-A");
@@ -77,7 +76,6 @@ runTable1(ExperimentContext &ctx)
              + TextTable::num(designHarmonicIpt(m, het4))
              + ", within " + TextTable::pct(het4_gap)
              + " of HET-ALL (paper: within 2%).");
-    art.note(parallelNote(ps));
     ctx.sink.emit(art);
 }
 

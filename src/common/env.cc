@@ -12,6 +12,32 @@
 namespace contest
 {
 
+bool
+parseU64(const char *text, std::uint64_t &value, const char **why)
+{
+    // strtoull alone is too permissive: it silently accepts trailing
+    // garbage ("4abc"), wraps negative values ("-1" becomes
+    // 2^64-1), and saturates on overflow without telling the caller.
+    const char *start = text;
+    while (std::isspace(static_cast<unsigned char>(*start)))
+        ++start;
+    char *end = nullptr;
+    errno = 0;
+    unsigned long long v = std::strtoull(start, &end, 10);
+    const char *reason = *start == '-'     ? "negative"
+                         : end == start    ? "not a number"
+                         : *end != '\0'    ? "trailing garbage"
+                         : errno == ERANGE ? "out of range"
+                                           : nullptr;
+    if (reason != nullptr) {
+        if (why != nullptr)
+            *why = reason;
+        return false;
+    }
+    value = static_cast<std::uint64_t>(v);
+    return true;
+}
+
 std::uint64_t
 envU64(const std::string &name, std::uint64_t def)
 {
@@ -19,34 +45,16 @@ envU64(const std::string &name, std::uint64_t def)
     if (raw == nullptr || *raw == '\0')
         return def;
 
-    // Parse strictly: the whole value must be one non-negative
-    // decimal integer that fits in 64 bits. strtoull alone is too
-    // permissive — it silently accepts trailing garbage ("4abc"),
-    // wraps negative values ("-1" becomes 2^64-1), and saturates on
-    // overflow without telling the caller — so every malformed value
-    // warns and falls back to the default instead of smuggling a
-    // nonsense number into a knob like CONTEST_JOBS.
-    const char *start = raw;
-    while (std::isspace(static_cast<unsigned char>(*start)))
-        ++start;
-    char *end = nullptr;
-    errno = 0;
-    unsigned long long v = std::strtoull(start, &end, 10);
-    const bool negative = *start == '-';
-    const bool no_digits = end == start;
-    const bool trailing = end != nullptr && *end != '\0';
-    const bool overflow = errno == ERANGE;
-    if (negative || no_digits || trailing || overflow) {
+    // Every malformed value warns and falls back to the default
+    // instead of smuggling a nonsense number into a knob like
+    // CONTEST_JOBS.
+    std::uint64_t v = def;
+    const char *why = nullptr;
+    if (!parseU64(raw, v, &why))
         warn("ignoring malformed %s='%s' (%s); using default %llu",
-             name.c_str(), raw,
-             negative    ? "negative"
-             : no_digits ? "not a number"
-             : trailing  ? "trailing garbage"
-                         : "out of range",
+             name.c_str(), raw, why,
              static_cast<unsigned long long>(def));
-        return def;
-    }
-    return static_cast<std::uint64_t>(v);
+    return v;
 }
 
 bool

@@ -18,8 +18,9 @@
  *                     debugging the event-driven scheduler; results
  *                     are bit-identical either way.
  *
- * All integer knobs parse strictly: a malformed value (trailing
- * garbage, negative, overflow) warns and falls back to the default.
+ * All integer knobs parse strictly (parseU64): a malformed value
+ * (trailing garbage, negative, overflow) warns and falls back to the
+ * default.
  */
 
 #ifndef CONTEST_COMMON_ENV_HH
@@ -30,6 +31,16 @@
 
 namespace contest
 {
+
+/**
+ * Parse @p text strictly as one non-negative decimal integer that
+ * fits in 64 bits; leading whitespace is allowed. On a malformed
+ * value (trailing garbage, negative, no digits, overflow) returns
+ * false, leaves @p value alone and, when @p why is non-null, points
+ * it at a short reason.
+ */
+bool parseU64(const char *text, std::uint64_t &value,
+              const char **why = nullptr);
 
 /** Read an unsigned integer env var, falling back to a default. */
 std::uint64_t envU64(const std::string &name, std::uint64_t def);

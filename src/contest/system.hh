@@ -92,9 +92,6 @@ class ContestSystem
      */
     ContestResult run();
 
-    /** Access a core (valid after construction). */
-    const OooCore &core(CoreId id) const { return *cores.at(id); }
-
     /** Access a core's contesting unit (valid after construction). */
     CoreContestUnit &unit(CoreId id) { return *units.at(id); }
 

@@ -74,10 +74,8 @@ struct ArtifactMeta
     unsigned jobs = 1;
     bool fast = false;
     /** Hardware threads on the producing machine (0 = unknown);
-     *  informational only (never compared). Wall-clock scalars
-     *  taken at several job counts, such as BENCH_serving's
-     *  requests/s, compare only between machines with the same
-     *  count. */
+     *  informational only (never compared): with `jobs`, it tells
+     *  how much parallelism the run could actually use. */
     unsigned cpus = 0;
     /** `git describe --always --dirty` of the producing tree;
      *  informational only (never compared). */

@@ -3,9 +3,8 @@
  * The experiment registry. Each figure/table/ablation registers
  * itself once (REGISTER_EXPERIMENT) as a function over a shared
  * Runner and an ArtifactSink; the contest_bench driver then runs
- * any subset in one process, so the Runner's memoized single-core
- * runs are simulated once for the whole suite instead of once per
- * standalone binary.
+ * any subset in one process, so the Runner's memoized runs are
+ * simulated once for the whole suite.
  */
 
 #ifndef CONTEST_HARNESS_REGISTRY_HH
@@ -31,9 +30,9 @@ struct ExperimentInfo
     std::string title; //!< human title, e.g. "Figure 6: ..."
     ExperimentFn fn = nullptr;
     /**
-     * Included in `--all`. Standalone-only experiments (e.g. the
-     * wall-clock throughput benchmark, whose artifact can never be
-     * bit-stable) must be selected by name.
+     * Always true: every registered experiment belongs to the
+     * suite. Kept only because perfbench/probe.cc still filters on
+     * it.
      */
     bool inSuite = true;
 };
@@ -89,10 +88,10 @@ class ExperimentRegistry
 struct ExperimentRegistrar
 {
     ExperimentRegistrar(const char *name, const char *title,
-                        ExperimentFn fn, bool in_suite = true)
+                        ExperimentFn fn)
     {
         ExperimentRegistry::instance().add(
-            ExperimentInfo{name, title, fn, in_suite});
+            ExperimentInfo{name, title, fn});
     }
 };
 
@@ -105,14 +104,5 @@ struct ExperimentRegistrar
 #define REGISTER_EXPERIMENT(name, title, fn)                          \
     static const ::contest::ExperimentRegistrar                       \
         experimentRegistrar_##fn{name, title, fn}
-
-/**
- * Like REGISTER_EXPERIMENT, but excluded from `--all`: the
- * experiment only runs when selected by name (or as the sole
- * registration of a standalone binary).
- */
-#define REGISTER_EXPERIMENT_STANDALONE(name, title, fn)               \
-    static const ::contest::ExperimentRegistrar                       \
-        experimentRegistrar_##fn{name, title, fn, false}
 
 #endif // CONTEST_HARNESS_REGISTRY_HH

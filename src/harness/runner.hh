@@ -167,9 +167,6 @@ class Runner
     /** Trace length in use. */
     std::uint64_t traceLen() const { return len; }
 
-    /** Workload seed in use. */
-    std::uint64_t workloadSeed() const { return seed_; }
-
     /**
      * Attach a persistent result cache (not owned; must outlive the
      * runner). single() and contested() consult it inside the
@@ -188,9 +185,6 @@ class Runner
      * queue/start/end span, cache hits included.
      */
     void setTimeline(SimTimeline *t) { timeline_ = t; }
-
-    /** The attached timeline, if any. */
-    SimTimeline *timeline() const { return timeline_; }
 
     /** Single-core simulations actually executed by this runner
      *  (in-memory and disk hits excluded). */

@@ -59,8 +59,8 @@ SuiteScheduler::run(const std::vector<const ExperimentInfo *> &to_run,
     }
 
     // Drain strictly in submission order; re-emitting through the
-    // real sink reproduces the sequential driver's stdout and JSON
-    // output byte for byte.
+    // real sink gives a sequential loop's stdout and JSON output byte
+    // for byte, whatever order the bodies finished in.
     std::size_t next_drain = 0;
     while (next_drain < slots.size()) {
         bool head_done;

@@ -1,24 +1,25 @@
 /**
  * @file
- * Suite-wide pipelined experiment scheduler.
+ * Suite-wide pipelined experiment scheduler: the contest_bench
+ * driver's only loop.
  *
- * The sequential driver ran each experiment to completion — sweeps,
- * artifact, stdout — before starting the next, so the pool drained
- * to idle at every experiment boundary. The scheduler instead posts
- * every selected experiment to the shared thread pool at once:
- * experiment bodies overlap freely (their simulations are already
- * safe to interleave — the Runner memoizes under per-key
- * once-latches), and the pipeline bubbles between experiments
- * disappear.
+ * Running each experiment to completion — sweeps, artifact, stdout —
+ * before starting the next would drain the pool to idle at every
+ * experiment boundary. The scheduler instead posts every selected
+ * experiment to the shared thread pool at once: experiment bodies
+ * overlap freely (their simulations are already safe to interleave
+ * — the Runner memoizes under per-key once-latches), and the
+ * pipeline bubbles between experiments disappear.
  *
- * Output stays bit-identical to the sequential driver because
- * experiments never touch stdout directly: each one emits into a
- * private buffering ArtifactSink, and the scheduler drains completed
+ * Output is the same as a sequential loop's because experiments
+ * never touch stdout directly: each one emits into a private
+ * buffering ArtifactSink, and the scheduler drains completed
  * experiments strictly in submission (registry) order, re-emitting
  * their artifacts through the real sink — which renders stdout and
- * writes the JSON files exactly as the sequential loop would have.
- * While the head experiment is still running, the draining thread
- * donates itself to the pool instead of sleeping.
+ * writes the JSON files. While the head experiment is still running,
+ * the draining thread donates itself to the pool instead of
+ * sleeping; on a pool with no workers (--jobs 1) that is how every
+ * body runs, one at a time, in submission order.
  */
 
 #ifndef CONTEST_HARNESS_SCHEDULER_HH

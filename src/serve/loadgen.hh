@@ -1,7 +1,7 @@
 /**
  * @file
- * Load generator for the contest service, shared by the contest_load
- * CLI and the BENCH_serving experiment.
+ * Load generator for the contest service, behind the contest_load
+ * CLI.
  *
  * A LoadSpec describes one phase: how many client connections, how
  * many requests each, the single/contest request mix (drawn from a

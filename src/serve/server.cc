@@ -427,17 +427,12 @@ ContestServer::execute(const Job &job)
       case ServeRequest::Kind::Experiment: {
         const ExperimentInfo *info =
             ExperimentRegistry::instance().find(req.experiment);
-        if (info == nullptr || !info->inSuite) {
+        if (info == nullptr) {
             requestsFailed.fetch_add(1);
             respond(job.conn,
-                    serveErrorResponse(
-                        req.id,
-                        info == nullptr
-                            ? "unknown experiment '" + req.experiment
-                                  + "'"
-                            : "experiment '" + req.experiment
-                                  + "' is standalone-only and "
-                                    "cannot be served"));
+                    serveErrorResponse(req.id,
+                                       "unknown experiment '"
+                                           + req.experiment + "'"));
             return;
         }
         ArtifactSink sink("", false);

@@ -376,5 +376,25 @@ TEST(Env, MalformedValuesWarnAndFallBack)
     ::unsetenv(name);
 }
 
+TEST(Env, ParseU64NamesWhatIsWrong)
+{
+    // The parser behind envU64, also used for command-line values:
+    // a rejected value leaves the output untouched and says why.
+    const std::pair<const char *, const char *> bad[] = {
+        {"", "not a number"},         {"+", "not a number"},
+        {"-0", "negative"},           {"70000 ", "trailing garbage"},
+        {"0x10", "trailing garbage"}, {"18446744073709551616", "out of range"}};
+    for (const auto &[text, reason] : bad) {
+        std::uint64_t v = 7;
+        const char *why = nullptr;
+        EXPECT_FALSE(parseU64(text, v, &why)) << "'" << text << "'";
+        EXPECT_EQ(v, 7u) << "'" << text << "'";
+        EXPECT_STREQ(why, reason) << "'" << text << "'";
+    }
+    std::uint64_t v = 7;
+    EXPECT_TRUE(parseU64(" 65536", v));
+    EXPECT_EQ(v, 65536u);
+}
+
 } // namespace
 } // namespace contest

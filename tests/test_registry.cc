@@ -3,14 +3,25 @@
  * Unit tests for the experiment registry and the suite-sharing
  * property it enables: experiments running back-to-back in one
  * process reuse the Runner's memoized single-core results, so the
- * second experiment performs zero new simulations.
+ * second experiment performs zero new simulations. Also tests the
+ * SuiteScheduler, the driver's only loop: artifacts and drain
+ * callbacks follow submission order however the bodies finish.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "harness/artifact.hh"
 #include "harness/registry.hh"
 #include "harness/runner.hh"
+#include "harness/scheduler.hh"
 
 namespace contest
 {
@@ -121,6 +132,133 @@ TEST(Registry, SecondExperimentReusesRunnerCache)
     // Both experiments measured the identical memoized result.
     EXPECT_EQ(sink.emitted()[0].scalars[0].second,
               sink.emitted()[1].scalars[0].second);
+}
+
+/**
+ * What the scheduler tests' toy experiments record. Experiment
+ * bodies are plain function pointers, so they share this state.
+ */
+struct ToySuite
+{
+    ThreadPool *pool = nullptr;
+    /** Whether "toy_a" waits for "toy_c" to finish first. */
+    bool holdFirst = false;
+
+    std::mutex mu;
+    std::condition_variable cv;
+    std::vector<std::string> finished;
+    std::vector<std::thread::id> threads;
+    bool firstTimedOut = false;
+};
+
+ToySuite *toy = nullptr;
+
+/** Body shared by the toy experiments: a nested sweep on the pool,
+ *  then one artifact whose scalar counts the sweep's tasks. */
+void
+toyExperiment(ExperimentContext &ctx)
+{
+    const std::string &name = ctx.info.name;
+    {
+        std::lock_guard<std::mutex> lock(toy->mu);
+        toy->threads.push_back(std::this_thread::get_id());
+    }
+    if (toy->holdFirst && name == "toy_a") {
+        std::unique_lock<std::mutex> lock(toy->mu);
+        bool c_done = toy->cv.wait_for(
+            lock, std::chrono::seconds(30), [] {
+                for (const auto &f : toy->finished)
+                    if (f == "toy_c")
+                        return true;
+                return false;
+            });
+        toy->firstTimedOut = !c_done;
+    }
+
+    std::atomic<int> tasks{0};
+    toy->pool->parallelFor(8, [&](std::size_t) { ++tasks; });
+
+    FigureArtifact art = ctx.artifact();
+    art.scalar("nested_tasks", tasks.load());
+    ctx.sink.emit(art);
+
+    std::lock_guard<std::mutex> lock(toy->mu);
+    toy->finished.push_back(name);
+    toy->cv.notify_all();
+}
+
+/** Runs the three toy experiments through a SuiteScheduler on
+ *  @p pool and checks what every scheduler run must guarantee. */
+class SchedulerTest : public ::testing::Test
+{
+  protected:
+    SchedulerTest() { toy = &state; }
+    ~SchedulerTest() override { toy = nullptr; }
+
+    void
+    runSuite(ThreadPool &pool)
+    {
+        state.pool = &pool;
+        Runner runner(4000, 9, &pool);
+        ArtifactSink sink("", /*echo=*/false);
+        std::vector<const ExperimentInfo *> to_run{&infos[0], &infos[1],
+                                                   &infos[2]};
+        SuiteScheduler(runner, sink, pool)
+            .run(to_run, [&](const ExperimentInfo &e, double) {
+                // Each experiment's artifact reaches the real sink
+                // before its drain callback fires.
+                drained.push_back(e.name);
+                ASSERT_EQ(sink.emitted().size(), drained.size());
+                EXPECT_EQ(sink.emitted().back().name, e.name);
+            });
+
+        const std::vector<std::string> order{"toy_a", "toy_b", "toy_c"};
+        EXPECT_EQ(drained, order);
+        ASSERT_EQ(sink.emitted().size(), 3u);
+        for (std::size_t i = 0; i < 3; ++i) {
+            EXPECT_EQ(sink.emitted()[i].name, order[i]);
+            ASSERT_EQ(sink.emitted()[i].scalars.size(), 1u);
+            EXPECT_EQ(sink.emitted()[i].scalars[0].second, 8.0)
+                << order[i] << "'s nested sweep did not complete";
+        }
+        EXPECT_EQ(state.finished.size(), 3u);
+    }
+
+    ToySuite state;
+    ExperimentInfo infos[3] = {{"toy_a", "Toy A", toyExperiment},
+                               {"toy_b", "Toy B", toyExperiment},
+                               {"toy_c", "Toy C", toyExperiment}};
+    std::vector<std::string> drained;
+};
+
+TEST_F(SchedulerTest, OneJobRunsBodiesInOrderOnTheCallingThread)
+{
+    ThreadPool pool(1);
+    runSuite(pool);
+
+    const std::vector<std::string> order{"toy_a", "toy_b", "toy_c"};
+    EXPECT_EQ(state.finished, order);
+    for (std::thread::id id : state.threads)
+        EXPECT_EQ(id, std::this_thread::get_id());
+}
+
+TEST_F(SchedulerTest, OutOfOrderCompletionDrainsInSubmissionOrder)
+{
+    // toy_a holds until toy_c has finished, so the bodies complete
+    // out of submission order; the drain must not follow them.
+    ThreadPool pool(4);
+    state.holdFirst = true;
+    runSuite(pool);
+
+    EXPECT_FALSE(state.firstTimedOut)
+        << "toy_c never finished while toy_a waited";
+    auto at = [&](const char *name) {
+        for (std::size_t i = 0; i < state.finished.size(); ++i)
+            if (state.finished[i] == name)
+                return i;
+        return state.finished.size();
+    };
+    EXPECT_LT(at("toy_c"), at("toy_a"));
 }
 
 } // namespace

@@ -6,7 +6,8 @@
  * exploration trace — so they run here through the registry twice
  * over one result-cache directory: the second run, on a fresh
  * Runner, must load every result and write byte-identical artifacts.
- * The bench sources of both experiments are compiled into this test.
+ * The test links the suite's experiment objects and selects the two
+ * by name.
  */
 
 #include <gtest/gtest.h>
