@@ -13,12 +13,6 @@ namespace
 LogLevel globalLevel = LogLevel::Warn;
 } // namespace
 
-LogLevel
-logLevel()
-{
-    return globalLevel;
-}
-
 void
 setLogLevel(LogLevel level)
 {

@@ -24,10 +24,8 @@ namespace contest
 /** Verbosity levels for runtime filtering of status messages. */
 enum class LogLevel { Silent, Warn, Inform, Debug };
 
-/** Process-wide log level; defaults to Warn so tests stay quiet. */
-LogLevel logLevel();
-
-/** Override the process-wide log level. */
+/** Override the process-wide log level (Warn by default, so tests
+ *  stay quiet). */
 void setLogLevel(LogLevel level);
 
 namespace detail

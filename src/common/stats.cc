@@ -1,6 +1,6 @@
 #include "common/stats.hh"
 
-#include <cmath>
+#include "common/log.hh"
 
 namespace contest
 {
@@ -27,19 +27,6 @@ harmonicMean(const std::vector<double> &xs)
         recip_sum += 1.0 / x;
     }
     return static_cast<double>(xs.size()) / recip_sum;
-}
-
-double
-geometricMean(const std::vector<double> &xs)
-{
-    if (xs.empty())
-        return 0.0;
-    double log_sum = 0.0;
-    for (double x : xs) {
-        fatal_if(x <= 0.0, "geometricMean requires positive values");
-        log_sum += std::log(x);
-    }
-    return std::exp(log_sum / static_cast<double>(xs.size()));
 }
 
 double

@@ -1,9 +1,9 @@
 /**
  * @file
- * Lightweight statistics containers used by the core models and the
- * experiment harness: running scalar summaries, histograms, and the
- * mean families (arithmetic / harmonic / geometric) the paper's
- * figures of merit are built from.
+ * Lightweight statistics used by the core models and the experiment
+ * harness: running scalar summaries and the mean families
+ * (arithmetic / harmonic) the paper's figures of merit are built
+ * from.
  */
 
 #ifndef CONTEST_COMMON_STATS_HH
@@ -12,10 +12,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <string>
 #include <vector>
-
-#include "common/log.hh"
 
 namespace contest
 {
@@ -79,68 +76,11 @@ class RunningStat
     double maxV = -std::numeric_limits<double>::infinity();
 };
 
-/** Fixed-width bucketed histogram with overflow bucket. */
-class Histogram
-{
-  public:
-    /**
-     * @param bucket_width width of each bucket (> 0)
-     * @param num_buckets number of regular buckets before overflow
-     */
-    Histogram(double bucket_width, std::size_t num_buckets)
-        : width(bucket_width), counts(num_buckets + 1, 0)
-    {
-        fatal_if(bucket_width <= 0.0, "Histogram bucket width must be > 0");
-        fatal_if(num_buckets == 0, "Histogram needs at least one bucket");
-    }
-
-    /** Record one sample; negatives clamp into the first bucket. */
-    void
-    sample(double x)
-    {
-        ++total;
-        if (x < 0.0) {
-            ++counts.front();
-            return;
-        }
-        auto idx = static_cast<std::size_t>(x / width);
-        if (idx >= counts.size() - 1)
-            ++counts.back();
-        else
-            ++counts[idx];
-    }
-
-    /** Count in regular bucket i (overflow is bucket numBuckets()). */
-    std::uint64_t
-    bucket(std::size_t i) const
-    {
-        panic_if(i >= counts.size(), "Histogram bucket out of range");
-        return counts[i];
-    }
-
-    /** Number of regular buckets. */
-    std::size_t numBuckets() const { return counts.size() - 1; }
-
-    /** Count in the overflow bucket. */
-    std::uint64_t overflow() const { return counts.back(); }
-
-    /** Total samples recorded. */
-    std::uint64_t samples() const { return total; }
-
-  private:
-    double width;
-    std::vector<std::uint64_t> counts;
-    std::uint64_t total = 0;
-};
-
 /** Arithmetic mean of a vector; 0 when empty. */
 double arithmeticMean(const std::vector<double> &xs);
 
 /** Harmonic mean of a vector of positive values; 0 when empty. */
 double harmonicMean(const std::vector<double> &xs);
-
-/** Geometric mean of a vector of positive values; 0 when empty. */
-double geometricMean(const std::vector<double> &xs);
 
 /**
  * Weighted harmonic mean: sum(w) / sum(w / x). Weights and values

@@ -9,6 +9,15 @@
 namespace contest
 {
 
+CoreId
+earliestEdge(const std::vector<TimePs> &next_edge)
+{
+    const auto earliest =
+        std::min_element(next_edge.begin(), next_edge.end());
+    panic_if(earliest == next_edge.end() || *earliest == TimePs::max(),
+             "contest deadlock: every core is parked");
+    return static_cast<CoreId>(earliest - next_edge.begin());
+}
 
 ContestSystem::ContestSystem(std::vector<CoreConfig> core_configs,
                              TracePtr trace_ptr,
@@ -110,7 +119,8 @@ ContestSystem::noteRetire(CoreId core, InstSeq seq)
 }
 
 void
-ContestSystem::serviceInterrupt(TimePs now, TickCalendar &calendar)
+ContestSystem::serviceInterrupt(TimePs now,
+                                std::vector<TimePs> &next_edge)
 {
     // The designated core (core 0) listens for external interrupts.
     // Stopping every redundant thread at the same point would need
@@ -123,7 +133,7 @@ ContestSystem::serviceInterrupt(TimePs now, TickCalendar &calendar)
             continue;
         cores[c]->reforkTo(refork_at);
         units[c]->reforkTo(refork_at);
-        calendar.set(c, now + cfg.interruptHandlerPs);
+        next_edge[c] = now + cfg.interruptHandlerPs;
     }
     storeQ->reforkAll(
         StoreSeq{storePrefix[static_cast<std::size_t>(refork_at.count())]});
@@ -184,13 +194,11 @@ void
 ContestSystem::seqStep(RunState &rs)
 {
     const auto n = static_cast<CoreId>(cores.size());
-    panic_if(rs.calendar.empty(),
-             "contest deadlock: every core is parked");
-    TimePs t = rs.calendar.minTime();
-    CoreId pick = rs.calendar.minCore();
+    const CoreId pick = earliestEdge(rs.nextEdge);
+    const TimePs t = rs.nextEdge[pick];
 
     if (cfg.interruptPeriodPs > TimePs{} && t >= rs.nextInterrupt) {
-        serviceInterrupt(rs.nextInterrupt, rs.calendar);
+        serviceInterrupt(rs.nextInterrupt, rs.nextEdge);
         rs.nextInterrupt += cfg.interruptPeriodPs;
         return; // re-pick with the updated tick times
     }
@@ -212,9 +220,9 @@ ContestSystem::seqStep(RunState &rs)
         skipped = cores[pick]->skipIdleCycles(max_skip);
     }
     rs.skipRec[pick] = RunState::SkipRecord{t, skipped};
-    rs.calendar.set(pick,
-                    t + TimePs{cores[pick]->periodPs().count()
-                               * (skipped.count() + 1)});
+    rs.nextEdge[pick] = t
+                        + TimePs{cores[pick]->periodPs().count()
+                                 * (skipped.count() + 1)};
 
     if (cores[pick]->done()) {
         rs.finished = true;
@@ -224,14 +232,14 @@ ContestSystem::seqStep(RunState &rs)
 
     if (parkEvents != rs.parksSeen) {
         // Someone parked during this tick (a broadcast from
-        // `pick` overflowed their FIFO). Drop them from the
-        // calendar and rewind any elided ticks that would have
-        // ordered after this tick's (t, pick) edge.
+        // `pick` overflowed their FIFO). Retire their clock edge and
+        // rewind any elided ticks that would have ordered after this
+        // tick's (t, pick) edge.
         rs.parksSeen = parkEvents;
         for (CoreId c = 0; c < n; ++c) {
-            if (!units[c]->parked() || !rs.calendar.contains(c))
+            if (!units[c]->parked() || rs.nextEdge[c] == TimePs::max())
                 continue;
-            rs.calendar.remove(c);
+            rs.nextEdge[c] = TimePs::max();
             rewindPastEdge(rs, c, t, pick);
         }
     }
@@ -253,16 +261,11 @@ ContestSystem::run()
 {
     const auto n = static_cast<CoreId>(cores.size());
 
-    // The event calendar orders clock edges by (time, core id), so
-    // ties go to the lower core id — the same deterministic choice
-    // the old linear min-scan made (the paper's round-robin
-    // handshake order).
+    // Every core's first clock edge is at time 0.
     RunState rs(n);
     rs.noSkip = simNoSkip();
     rs.parksSeen = parkEvents;
     rs.nextInterrupt = cfg.interruptPeriodPs;
-    for (CoreId c = 0; c < n; ++c)
-        rs.calendar.set(c, TimePs{});
     while (!rs.finished)
         seqStep(rs);
     return collectResult(rs);

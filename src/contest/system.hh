@@ -15,7 +15,6 @@
 #include <memory>
 #include <vector>
 
-#include "contest/calendar.hh"
 #include "contest/config.hh"
 #include "contest/exception.hh"
 #include "contest/unit.hh"
@@ -66,6 +65,14 @@ struct ContestResult
     }
 };
 
+/**
+ * The contest's clock calendar: the core whose next edge comes
+ * first. Ties go to the lower core id (the first minimum), the
+ * paper's round-robin handshake order. A parked core's edge is
+ * TimePs::max(); panics if every core is parked.
+ */
+CoreId earliestEdge(const std::vector<TimePs> &next_edge);
+
 /** N-way architectural contesting system. */
 class ContestSystem
 {
@@ -111,15 +118,16 @@ class ContestSystem
 
   private:
     /**
-     * Mutable state of one run(): the event calendar, the eager-skip
-     * records, finish/interrupt/watchdog bookkeeping. Only seqStep
-     * advances it.
+     * Mutable state of one run(): the per-core next clock edges, the
+     * eager-skip records, finish/interrupt/watchdog bookkeeping.
+     * Only seqStep advances it.
      */
     struct RunState
     {
-        explicit RunState(std::size_t n) : calendar(n), skipRec(n) {}
+        explicit RunState(std::size_t n) : nextEdge(n), skipRec(n) {}
 
-        TickCalendar calendar;
+        /** Each core's next clock edge; TimePs::max() once parked. */
+        std::vector<TimePs> nextEdge;
 
         /** A skipping core's latest eagerly-elided window (see
          *  rewindPastEdge). */
@@ -181,7 +189,7 @@ class ContestSystem
     /** @{ */
     /** Terminate-and-refork all cores at the designated core's
      *  position at global time @p now. */
-    void serviceInterrupt(TimePs now, TickCalendar &calendar);
+    void serviceInterrupt(TimePs now, std::vector<TimePs> &next_edge);
     /** Stores preceding each stream position (prefix counts). */
     std::vector<std::uint32_t> storePrefix;
     std::uint64_t interrupts = 0;

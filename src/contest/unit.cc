@@ -1,7 +1,5 @@
 #include "contest/unit.hh"
 
-#include <algorithm>
-
 #include "contest/system.hh"
 
 namespace contest
@@ -17,16 +15,6 @@ CoreContestUnit::CoreContestUnit(CoreId self_id,
     fifos.reserve(num_cores);
     for (unsigned c = 0; c < num_cores; ++c)
         fifos.emplace_back(cfg.fifoCapacity);
-}
-
-InstSeq
-CoreContestUnit::maxPopCounter() const
-{
-    InstSeq max_pop{};
-    for (std::size_t c = 0; c < fifos.size(); ++c)
-        if (c != self)
-            max_pop = std::max(max_pop, fifos[c].headSeq());
-    return max_pop;
 }
 
 FetchOutcome

@@ -77,9 +77,6 @@ class CoreContestUnit : public ContestHooks
     /** Unit statistics. */
     const UnitStats &stats() const { return stats_; }
 
-    /** Maximum pop counter over all incoming FIFOs. */
-    InstSeq maxPopCounter() const;
-
     /** Pop counter of the incoming FIFO fed by core @p src. */
     InstSeq popCounter(CoreId src) const { return fifos[src].headSeq(); }
 

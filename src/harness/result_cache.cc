@@ -148,16 +148,32 @@ struct Reader
         return v;
     }
 
-    std::string
-    bytes(std::size_t n)
+    std::string_view
+    bytes(std::uint64_t n)
     {
-        if (pos + n > buf.size()) {
+        if (n > buf.size() - pos) {
             ok = false;
             return {};
         }
-        std::string s = buf.substr(pos, n);
+        std::string_view s(buf.data() + pos, n);
         pos += n;
         return s;
+    }
+
+    /**
+     * A record count. Every record is at least one 8-byte word, so a
+     * count the rest of the file cannot hold is corrupt: it poisons
+     * ok and reads as 0 before any caller sizes a container by it.
+     */
+    std::uint64_t
+    count()
+    {
+        const std::uint64_t n = u64();
+        if (n > (buf.size() - pos) / 8) {
+            ok = false;
+            return 0;
+        }
+        return n;
     }
 };
 
@@ -348,76 +364,42 @@ ResultCache::entryPath(const std::string &key) const
     return dir + "/" + name;
 }
 
+template <typename Parse>
 bool
-ResultCache::load(const std::string &key, SingleRunResult &result,
-                  std::vector<TimePs> &regions) const
+ResultCache::readEntry(const std::string &key, const char (&magic)[4],
+                       Parse &&parse) const
 {
     std::ifstream in(entryPath(key), std::ios::binary);
-    if (!in) {
-        ++missCount;
-        return false;
-    }
     std::ostringstream raw;
-    raw << in.rdbuf();
+    if (in)
+        raw << in.rdbuf();
     const std::string data = raw.str();
 
+    // An absent file reads as empty and fails the magic check.
+    const std::string_view want(magic, sizeof(magic));
     Reader r(data);
-    std::string magic = r.bytes(sizeof(cacheMagic));
-    if (!r.ok
-        || std::memcmp(magic.data(), cacheMagic,
-                       sizeof(cacheMagic)) != 0
-        || static_cast<int>(r.u64()) != formatVersion) {
-        ++missCount;
-        return false;
+    bool ok = r.bytes(want.size()) == want
+              && static_cast<int>(r.u64()) == formatVersion
+              && r.bytes(r.u64()) == key && r.ok;
+    if (ok) {
+        parse(r);
+        ok = r.ok && r.pos == data.size();
     }
-    std::string stored_key = r.bytes(r.u64());
-    if (!r.ok || stored_key != key) {
-        ++missCount;
-        return false;
-    }
-
-    SingleRunResult out;
-    out.timePs = TimePs{r.u64()};
-    out.ipt = r.f64();
-    readStats(r, out.stats);
-    readEnergy(r, out.energy);
-    std::vector<TimePs> series(r.u64());
-    if (!r.ok || series.size() > data.size()) {
-        // A corrupt length would reserve absurd memory; any entry's
-        // series is necessarily smaller than the file that holds it.
-        ++missCount;
-        return false;
-    }
-    for (auto &t : series)
-        t = TimePs{r.u64()};
-    if (!r.ok || r.pos != data.size()) {
-        ++missCount;
-        return false;
-    }
-
-    result = out;
-    regions = std::move(series);
-    ++hitCount;
-    return true;
+    ++(ok ? hitCount : missCount);
+    return ok;
 }
 
+template <typename Fill>
 void
-ResultCache::store(const std::string &key,
-                   const SingleRunResult &result,
-                   const std::vector<TimePs> &regions) const
+ResultCache::writeEntry(const std::string &key, const char (&magic)[4],
+                        Fill &&fill) const
 {
     Writer w;
-    w.buf.append(cacheMagic, sizeof(cacheMagic));
+    w.buf.append(magic, sizeof(magic));
     w.u64(static_cast<std::uint64_t>(formatVersion));
     w.u64(key.size());
     w.buf.append(key);
-    w.u64(result.timePs.count());
-    w.f64(result.ipt);
-    writeStats(w, result.stats);
-    writeEnergy(w, result.energy);
-    w.u64(regions.size());
-    for (TimePs t : regions)
-        w.u64(t.count());
+    fill(w);
 
     std::error_code ec;
     std::filesystem::create_directories(dir, ec);
@@ -426,75 +408,77 @@ ResultCache::store(const std::string &key,
              ec.message().c_str());
         return;
     }
-
     // Write-then-rename so a concurrent reader (another process
     // sharing the cache directory) never sees a partial entry.
-    if (!writeEntryAtomic(entryPath(key), w.buf))
-        return;
-    ++storeCount;
+    if (writeEntryAtomic(entryPath(key), w.buf))
+        ++storeCount;
+}
+
+bool
+ResultCache::load(const std::string &key, SingleRunResult &result,
+                  std::vector<TimePs> &regions) const
+{
+    SingleRunResult out;
+    std::vector<TimePs> series;
+    if (!readEntry(key, cacheMagic, [&](Reader &r) {
+            out.timePs = TimePs{r.u64()};
+            out.ipt = r.f64();
+            readStats(r, out.stats);
+            readEnergy(r, out.energy);
+            series.resize(r.count());
+            for (auto &t : series)
+                t = TimePs{r.u64()};
+        }))
+        return false;
+    result = out;
+    regions = std::move(series);
+    return true;
+}
+
+void
+ResultCache::store(const std::string &key,
+                   const SingleRunResult &result,
+                   const std::vector<TimePs> &regions) const
+{
+    writeEntry(key, cacheMagic, [&](Writer &w) {
+        w.u64(result.timePs.count());
+        w.f64(result.ipt);
+        writeStats(w, result.stats);
+        writeEnergy(w, result.energy);
+        w.u64(regions.size());
+        for (TimePs t : regions)
+            w.u64(t.count());
+    });
 }
 
 bool
 ResultCache::loadContest(const std::string &key,
                          ContestResult &result) const
 {
-    std::ifstream in(entryPath(key), std::ios::binary);
-    if (!in) {
-        ++missCount;
-        return false;
-    }
-    std::ostringstream raw;
-    raw << in.rdbuf();
-    const std::string data = raw.str();
-
-    Reader r(data);
-    std::string magic = r.bytes(sizeof(contestMagic));
-    if (!r.ok
-        || std::memcmp(magic.data(), contestMagic,
-                       sizeof(contestMagic)) != 0
-        || static_cast<int>(r.u64()) != formatVersion) {
-        ++missCount;
-        return false;
-    }
-    std::string stored_key = r.bytes(r.u64());
-    if (!r.ok || stored_key != key) {
-        ++missCount;
-        return false;
-    }
-
     ContestResult out;
-    out.timePs = TimePs{r.u64()};
-    out.ipt = r.f64();
-    std::uint64_t cores = r.u64();
-    // Any per-core array longer than the file holding it announces a
-    // corrupt count before the resize can reserve absurd memory.
-    if (!r.ok || cores > data.size()) {
-        ++missCount;
+    if (!readEntry(key, contestMagic, [&](Reader &r) {
+            out.timePs = TimePs{r.u64()};
+            out.ipt = r.f64();
+            const std::uint64_t cores = r.count();
+            out.coreStats.resize(cores);
+            out.unitStats.resize(cores);
+            out.leadFraction.resize(cores);
+            out.energy.resize(cores);
+            for (auto &s : out.coreStats)
+                readStats(r, s);
+            for (auto &s : out.unitStats)
+                readUnitStats(r, s);
+            for (auto &f : out.leadFraction)
+                f = r.f64();
+            out.leadChanges = r.u64();
+            out.mergedStores = StoreSeq{r.u64()};
+            out.exceptionsHandled = r.u64();
+            out.interruptsHandled = r.u64();
+            for (auto &e : out.energy)
+                readEnergy(r, e);
+        }))
         return false;
-    }
-    out.coreStats.resize(cores);
-    out.unitStats.resize(cores);
-    out.leadFraction.resize(cores);
-    out.energy.resize(cores);
-    for (auto &s : out.coreStats)
-        readStats(r, s);
-    for (auto &s : out.unitStats)
-        readUnitStats(r, s);
-    for (auto &f : out.leadFraction)
-        f = r.f64();
-    out.leadChanges = r.u64();
-    out.mergedStores = StoreSeq{r.u64()};
-    out.exceptionsHandled = r.u64();
-    out.interruptsHandled = r.u64();
-    for (auto &e : out.energy)
-        readEnergy(r, e);
-    if (!r.ok || r.pos != data.size()) {
-        ++missCount;
-        return false;
-    }
-
     result = std::move(out);
-    ++hitCount;
     return true;
 }
 
@@ -512,38 +496,23 @@ ResultCache::storeContest(const std::string &key,
              "mismatched per-core array sizes");
         return;
     }
-
-    Writer w;
-    w.buf.append(contestMagic, sizeof(contestMagic));
-    w.u64(static_cast<std::uint64_t>(formatVersion));
-    w.u64(key.size());
-    w.buf.append(key);
-    w.u64(result.timePs.count());
-    w.f64(result.ipt);
-    w.u64(cores);
-    for (const auto &s : result.coreStats)
-        writeStats(w, s);
-    for (const auto &s : result.unitStats)
-        writeUnitStats(w, s);
-    for (double f : result.leadFraction)
-        w.f64(f);
-    w.u64(result.leadChanges);
-    w.u64(result.mergedStores.count());
-    w.u64(result.exceptionsHandled);
-    w.u64(result.interruptsHandled);
-    for (const auto &e : result.energy)
-        writeEnergy(w, e);
-
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    if (ec) {
-        warn("result cache: cannot create '%s': %s", dir.c_str(),
-             ec.message().c_str());
-        return;
-    }
-    if (!writeEntryAtomic(entryPath(key), w.buf))
-        return;
-    ++storeCount;
+    writeEntry(key, contestMagic, [&](Writer &w) {
+        w.u64(result.timePs.count());
+        w.f64(result.ipt);
+        w.u64(cores);
+        for (const auto &s : result.coreStats)
+            writeStats(w, s);
+        for (const auto &s : result.unitStats)
+            writeUnitStats(w, s);
+        for (double f : result.leadFraction)
+            w.f64(f);
+        w.u64(result.leadChanges);
+        w.u64(result.mergedStores.count());
+        w.u64(result.exceptionsHandled);
+        w.u64(result.interruptsHandled);
+        for (const auto &e : result.energy)
+            writeEnergy(w, e);
+    });
 }
 
 } // namespace contest

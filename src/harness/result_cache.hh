@@ -110,6 +110,22 @@ class ResultCache
     std::string entryPath(const std::string &key) const;
 
   private:
+    /**
+     * The one reader of an entry: read the file for @p key, verify
+     * @p magic, the format version and the key echo, let @p parse
+     * read the payload, and require that it ends exactly at the end
+     * of the file. Counts the hit or miss.
+     */
+    template <typename Parse>
+    bool readEntry(const std::string &key, const char (&magic)[4],
+                   Parse &&parse) const;
+
+    /** The one writer: the header for @p key, then @p fill's
+     *  payload, published atomically and counted as a store. */
+    template <typename Fill>
+    void writeEntry(const std::string &key, const char (&magic)[4],
+                    Fill &&fill) const;
+
     std::string dir;
     int formatVersion;
     mutable std::atomic<std::uint64_t> hitCount{0};

@@ -24,6 +24,42 @@ contestLabel(const std::string &bench,
     return label;
 }
 
+/** @name Disk-cache adapters of the two cached run kinds */
+/** @{ */
+bool
+diskLoad(const ResultCache &disk, const std::string &key, LoggedRun &run)
+{
+    // A hit restores the result and region series without
+    // generating the trace or simulating.
+    std::vector<TimePs> series;
+    if (!disk.load(key, run.result, series))
+        return false;
+    run.regions = std::make_shared<RegionLog>(std::move(series));
+    return true;
+}
+
+bool
+diskLoad(const ResultCache &disk, const std::string &key,
+         ContestResult &result)
+{
+    return disk.loadContest(key, result);
+}
+
+void
+diskStore(const ResultCache &disk, const std::string &key,
+          const LoggedRun &run)
+{
+    disk.store(key, run.result, run.regions->series());
+}
+
+void
+diskStore(const ResultCache &disk, const std::string &key,
+          const ContestResult &result)
+{
+    disk.storeContest(key, result);
+}
+/** @} */
+
 } // namespace
 
 Runner::Runner(std::uint64_t trace_len, std::uint64_t seed,
@@ -34,25 +70,48 @@ Runner::Runner(std::uint64_t trace_len, std::uint64_t seed,
     fatal_if(trace_len < RegionLog::regionInsts,
              "Runner: trace length %llu too short",
              static_cast<unsigned long long>(trace_len));
-    // Steady-state sizes of the full suite (11 benches x 11 cores
-    // singles, a few hundred distinct contests); reserving up front
-    // keeps each shard mutex's critical section to a probe that
-    // never rehashes.
-    traces.reserve(32);
-    singles.reserve(256);
-    contests.reserve(512);
 }
 
 TracePtr
 Runner::trace(const std::string &bench, std::uint64_t trace_len)
 {
-    const std::uint64_t use_len = trace_len != 0 ? trace_len : len;
-    TraceEntry *entry = traces.entryFor(
-        HashedKey(bench + '\x1f' + std::to_string(use_len)));
-    std::call_once(entry->once, [&] {
-        entry->value = makeBenchmarkTrace(bench, seed_, use_len);
-    });
-    return entry->value;
+    const std::uint64_t use_len = useLen(trace_len);
+    return traces.get(
+        HashedKey(bench + '\x1f' + std::to_string(use_len)),
+        [&] { return makeBenchmarkTrace(bench, seed_, use_len); });
+}
+
+template <typename T, typename Label, typename Simulate>
+const T &
+Runner::cached(Memo<T> &memo, RunCounts &counts, SimTimeline::Kind kind,
+               const std::string &key, Label &&label,
+               Simulate &&simulate, bool *materialized)
+{
+    const auto queued = SimTimeline::now();
+    // One canonical string keys the memo and the disk cache: two
+    // calls agree on it iff they are the same deterministic
+    // simulation.
+    return memo.get(
+        HashedKey(key),
+        [&] {
+            const auto start = SimTimeline::now();
+            T value;
+            const bool hit =
+                disk != nullptr && diskLoad(*disk, key, value);
+            if (hit) {
+                ++counts.diskHits;
+            } else {
+                value = simulate();
+                ++counts.simulated;
+                if (disk != nullptr)
+                    diskStore(*disk, key, value);
+            }
+            if (timeline_ != nullptr)
+                timeline_->record(kind, label(), queued, start,
+                                  SimTimeline::now(), hit);
+            return value;
+        },
+        materialized);
 }
 
 const LoggedRun &
@@ -65,47 +124,22 @@ const LoggedRun &
 Runner::single(const std::string &bench, const CoreConfig &core,
                std::uint64_t trace_len, bool *materialized)
 {
-    auto queued = SimTimeline::now();
-    const std::uint64_t use_len = trace_len != 0 ? trace_len : len;
-    // One canonical string keys the memo and the disk cache, as in
-    // contested().
-    const std::string key =
-        ResultCache::singleRunKey(core, bench, seed_, use_len);
-    SingleEntry *entry = singles.entryFor(HashedKey(key));
-    bool ran = false;
-    std::call_once(entry->once, [&] {
-        ran = true;
-        auto start = SimTimeline::now();
-        LoggedRun &run = entry->run;
-
-        // Persistent layer first: a disk hit restores the result and
-        // region series without generating the trace or simulating.
-        std::vector<TimePs> series;
-        const bool hit =
-            disk != nullptr && disk->load(key, run.result, series);
-        if (hit) {
-            run.regions = std::make_shared<RegionLog>(std::move(series));
-            ++diskHitCount;
-        } else {
+    const std::uint64_t use_len = useLen(trace_len);
+    return cached(
+        singles, singleCounts, SimTimeline::Kind::Single,
+        ResultCache::singleRunKey(core, bench, seed_, use_len),
+        [&] { return bench + '@' + core.name; },
+        [&] {
+            LoggedRun run;
             run.regions = std::make_shared<RegionLog>();
             run.result = runSingle(
                 core, trace(bench, use_len),
                 [log = run.regions.get()](InstSeq seq, TimePs now) {
                     log->onRetire(seq, now);
                 });
-            ++simsDone;
-            if (disk != nullptr)
-                disk->store(key, run.result, run.regions->series());
-        }
-        if (timeline_ != nullptr)
-            timeline_->record(SimTimeline::Kind::Single,
-                              bench + '@' + core.name, queued, start,
-                              SimTimeline::now(), hit);
-        entry->ready.store(true, std::memory_order_release);
-    });
-    if (materialized != nullptr)
-        *materialized = ran;
-    return entry->run;
+            return run;
+        },
+        materialized);
 }
 
 const ContestResult &
@@ -114,51 +148,24 @@ Runner::contested(const std::string &bench,
                   const ContestConfig &config,
                   std::uint64_t trace_len, bool *materialized)
 {
-    auto queued = SimTimeline::now();
-    const std::uint64_t use_len = trace_len != 0 ? trace_len : len;
-    // One canonical string serves as the in-memory memo key and, on
-    // a miss, the persistent-cache key: two contested() calls agree
-    // on it iff they are the same deterministic simulation.
-    const std::string key = ResultCache::contestKey(
-        bench, cores, config, seed_, use_len);
-    ContestEntry *entry = contests.entryFor(HashedKey(key));
-    bool ran = false;
-    std::call_once(entry->once, [&] {
-        ran = true;
-        auto start = SimTimeline::now();
-        const bool hit =
-            disk != nullptr && disk->loadContest(key, entry->result);
-        if (hit) {
-            ++contestDiskHitCount;
-        } else {
+    const std::uint64_t use_len = useLen(trace_len);
+    return cached(
+        contests, contestCounts, SimTimeline::Kind::Contest,
+        ResultCache::contestKey(bench, cores, config, seed_, use_len),
+        [&] { return contestLabel(bench, cores); },
+        [&] {
             ContestSystem sys(cores, trace(bench, use_len), config);
-            entry->result = sys.run();
-            ++contestsDone;
-            if (disk != nullptr)
-                disk->storeContest(key, entry->result);
-        }
-        if (timeline_ != nullptr)
-            timeline_->record(SimTimeline::Kind::Contest,
-                              contestLabel(bench, cores), queued,
-                              start, SimTimeline::now(), hit);
-        entry->ready.store(true, std::memory_order_release);
-    });
-    if (materialized != nullptr)
-        *materialized = ran;
-    return entry->result;
+            return sys.run();
+        },
+        materialized);
 }
 
 const LoggedRun *
 Runner::singleIfReady(const std::string &bench, const CoreConfig &core,
                       std::uint64_t trace_len)
 {
-    const SingleEntry *entry = singles.find(
-        HashedKey(ResultCache::singleRunKey(
-            core, bench, seed_, trace_len != 0 ? trace_len : len)));
-    return entry != nullptr
-                   && entry->ready.load(std::memory_order_acquire)
-               ? &entry->run
-               : nullptr;
+    return singles.ifReady(HashedKey(ResultCache::singleRunKey(
+        core, bench, seed_, useLen(trace_len))));
 }
 
 const ContestResult *
@@ -167,14 +174,8 @@ Runner::contestedIfReady(const std::string &bench,
                          const ContestConfig &config,
                          std::uint64_t trace_len)
 {
-    const ContestEntry *entry = contests.find(
-        HashedKey(ResultCache::contestKey(
-            bench, cores, config, seed_,
-            trace_len != 0 ? trace_len : len)));
-    return entry != nullptr
-                   && entry->ready.load(std::memory_order_acquire)
-               ? &entry->result
-               : nullptr;
+    return contests.ifReady(HashedKey(ResultCache::contestKey(
+        bench, cores, config, seed_, useLen(trace_len))));
 }
 
 const ContestResult &

@@ -9,7 +9,6 @@
 #ifndef CONTEST_HARNESS_RUNNER_HH
 #define CONTEST_HARNESS_RUNNER_HH
 
-#include <array>
 #include <atomic>
 #include <memory>
 #include <mutex>
@@ -47,18 +46,14 @@ struct LoggedRun
  *
  * The runner is safe to use from many threads at once — the suite
  * scheduler's pool and, since the contest service daemon, an
- * arbitrary number of concurrent independent requests. Each memo map
- * is sharded by key digest: a lookup locks only its shard's mutex,
- * held only for the lookup/insert (never across a simulation), and
- * each entry carries a per-key once-latch so two threads never
- * simulate the same keyed run — the second requester blocks until
- * the first finishes. Because every simulation is self-contained and
- * writes only its own cache slot, results are bit-identical for any
- * job count, including 1.
- *
- * The maps are unordered, keyed by canonical key strings whose
- * 64-bit digest is computed once per lookup (HashedKey); buckets are
- * reserved up front so the suite's steady state never rehashes.
+ * arbitrary number of concurrent independent requests. Traces,
+ * singles and contests each sit in one Memo: a lookup holds the
+ * memo's mutex only for the probe/insert (never across a
+ * simulation), and each entry carries a per-key once-latch so two
+ * threads never simulate the same keyed run — the second requester
+ * blocks until the first finishes. Because every simulation is
+ * self-contained and writes only its own cache slot, results are
+ * bit-identical for any job count, including 1.
  */
 class Runner
 {
@@ -123,7 +118,7 @@ class Runner
      * if it is already in memory, else nullptr. Never simulates,
      * never reads the disk cache, never waits on a latch, and never
      * adds a memo entry, so a probe for an unseen key costs a key
-     * build and one shard lookup.
+     * build and one map lookup.
      */
     const LoggedRun *singleIfReady(const std::string &bench,
                                    const CoreConfig &core,
@@ -191,123 +186,139 @@ class Runner
     std::uint64_t
     simulationsPerformed() const
     {
-        return simsDone.load();
+        return singleCounts.simulated.load();
     }
 
     /** single() calls satisfied from the persistent cache. */
-    std::uint64_t diskHits() const { return diskHitCount.load(); }
+    std::uint64_t diskHits() const { return singleCounts.diskHits.load(); }
 
     /** Contested simulations actually executed by this runner
      *  (in-memory and disk hits excluded). */
     std::uint64_t
     contestsPerformed() const
     {
-        return contestsDone.load();
+        return contestCounts.simulated.load();
     }
 
     /** contested() calls satisfied from the persistent cache. */
     std::uint64_t
     contestDiskHits() const
     {
-        return contestDiskHitCount.load();
+        return contestCounts.diskHits.load();
     }
 
   private:
-    /** Memo-map slot: the once-latch serializes the first (and only)
-     *  computation of the keyed value; later readers see it filled.
-     *  A result slot's `ready` is stored (release) as the last step
-     *  of the latch body, so a reader that loads it true (acquire)
-     *  sees the finished result without touching the latch. Results
-     *  are never written again. */
-    struct TraceEntry
-    {
-        std::once_flag once;
-        TracePtr value;
-    };
-    struct SingleEntry
-    {
-        std::once_flag once;
-        LoggedRun run;
-        std::atomic<bool> ready{false};
-    };
-    struct ContestEntry
-    {
-        std::once_flag once;
-        ContestResult result;
-        std::atomic<bool> ready{false};
-    };
-
     /**
-     * A memo map split into shards, each with its own structure
-     * mutex, so concurrent requests for different keys contend only
-     * when their digests collide modulo the shard count. Entries are
-     * heap-allocated and never erased, so a pointer returned by
-     * entryFor() stays valid for the runner's lifetime even while
-     * other threads grow the shard.
+     * A memo table: one once-latched entry per key, under one
+     * mutex held only for the probe/insert. Entries are
+     * heap-allocated and never erased, so a reference into one stays
+     * valid for the runner's lifetime while other threads grow the
+     * map. The key's digest is computed (HashedKey) before the lock
+     * is taken.
      */
-    template <typename Entry>
-    class MemoShards
+    template <typename T>
+    class Memo
     {
       public:
-        /** Find-or-create the entry for @p key, holding only the
-         *  owning shard's mutex for the lookup/insert. */
-        Entry *
-        entryFor(HashedKey key)
+        /**
+         * The value for @p key, computed by @p fill exactly once per
+         * process; concurrent callers for the same key block until
+         * it lands. @p ran, if set, receives whether this call ran
+         * @p fill.
+         */
+        template <typename Fill>
+        const T &
+        get(HashedKey key, Fill &&fill, bool *ran = nullptr)
         {
-            Shard &s = shards[key.hash & (kShards - 1)];
-            std::lock_guard<std::mutex> lock(s.mu);
-            auto &slot = s.map[std::move(key)];
-            if (!slot)
-                slot = std::make_unique<Entry>();
-            return slot.get();
+            Entry *entry = nullptr;
+            {
+                std::lock_guard<std::mutex> lock(mu);
+                auto &slot = map[std::move(key)];
+                if (!slot)
+                    slot = std::make_unique<Entry>();
+                entry = slot.get();
+            }
+            bool filled = false;
+            std::call_once(entry->once, [&] {
+                filled = true;
+                entry->value = fill();
+                // Last step of the latch body: a reader that loads
+                // it true (acquire) sees the finished value without
+                // touching the latch.
+                entry->ready.store(true, std::memory_order_release);
+            });
+            if (ran != nullptr)
+                *ran = filled;
+            return entry->value;
         }
 
-        /** The entry for @p key, or nullptr; never inserts. */
-        Entry *
-        find(const HashedKey &key)
+        /** The value for @p key if it is already computed, else
+         *  nullptr. Never inserts and never waits on a latch. */
+        const T *
+        ifReady(const HashedKey &key)
         {
-            Shard &s = shards[key.hash & (kShards - 1)];
-            std::lock_guard<std::mutex> lock(s.mu);
-            auto it = s.map.find(key);
-            return it != s.map.end() ? it->second.get() : nullptr;
-        }
-
-        /** Reserve buckets for @p total entries across all shards. */
-        void
-        reserve(std::size_t total)
-        {
-            for (Shard &s : shards)
-                s.map.reserve(total / kShards + 1);
+            const Entry *entry = nullptr;
+            {
+                std::lock_guard<std::mutex> lock(mu);
+                auto it = map.find(key);
+                if (it == map.end())
+                    return nullptr;
+                entry = it->second.get();
+            }
+            return entry->ready.load(std::memory_order_acquire)
+                       ? &entry->value
+                       : nullptr;
         }
 
       private:
-        static constexpr std::size_t kShards = 16;
-        static_assert((kShards & (kShards - 1)) == 0,
-                      "shard selection masks the key digest");
-
-        struct Shard
+        struct Entry
         {
-            std::mutex mu;
-            std::unordered_map<HashedKey, std::unique_ptr<Entry>,
-                               HashedKeyHash> map;
+            std::once_flag once;
+            T value;
+            std::atomic<bool> ready{false};
         };
-        std::array<Shard, kShards> shards;
+        std::mutex mu;
+        std::unordered_map<HashedKey, std::unique_ptr<Entry>,
+                           HashedKeyHash> map;
     };
+
+    /** How one kind of cached run was materialized. */
+    struct RunCounts
+    {
+        std::atomic<std::uint64_t> simulated{0};
+        std::atomic<std::uint64_t> diskHits{0};
+    };
+
+    /**
+     * The one path of a cached single or contested run: memo, then
+     * (inside the latch) the disk cache, else @p simulate and a
+     * store; then the counts and the timeline span labelled
+     * @p label(). Only runner.cc instantiates it.
+     */
+    template <typename T, typename Label, typename Simulate>
+    const T &cached(Memo<T> &memo, RunCounts &counts,
+                    SimTimeline::Kind kind, const std::string &key,
+                    Label &&label, Simulate &&simulate,
+                    bool *materialized);
+
+    /** @p trace_len, or the configured length when it is 0. */
+    std::uint64_t
+    useLen(std::uint64_t trace_len) const
+    {
+        return trace_len != 0 ? trace_len : len;
+    }
 
     std::uint64_t len;
     std::uint64_t seed_;
     ThreadPool *pool_;
     ResultCache *disk = nullptr;
     SimTimeline *timeline_ = nullptr;
-    std::atomic<std::uint64_t> simsDone{0};
-    std::atomic<std::uint64_t> diskHitCount{0};
-    std::atomic<std::uint64_t> contestsDone{0};
-    std::atomic<std::uint64_t> contestDiskHitCount{0};
+    RunCounts singleCounts;
+    RunCounts contestCounts;
 
-    /** Sharded memo maps; entries latch themselves. */
-    MemoShards<TraceEntry> traces;
-    MemoShards<SingleEntry> singles;
-    MemoShards<ContestEntry> contests;
+    Memo<TracePtr> traces;
+    Memo<LoggedRun> singles;
+    Memo<ContestResult> contests;
     std::once_flag matrixOnce;
     std::unique_ptr<IptMatrix> cachedMatrix;
 };

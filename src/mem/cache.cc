@@ -98,13 +98,4 @@ Cache::setWriteThrough(bool enable)
             line.dirty = false;
 }
 
-void
-Cache::invalidateAll()
-{
-    for (auto &line : lines) {
-        line.valid = false;
-        line.dirty = false;
-    }
-}
-
 } // namespace contest

@@ -63,9 +63,6 @@ class Cache
     /** Probe without updating any state: would this address hit? */
     bool probe(Addr addr) const;
 
-    /** Drop every line (used when a core leaves contesting mode). */
-    void invalidateAll();
-
     /**
      * Switch the write policy at run time. Contesting mode requires
      * write-through private caches (Section 4.2); dirty lines are

@@ -68,11 +68,4 @@ DataHierarchy::setWriteThrough(bool enable)
     l2Cache.setWriteThrough(enable);
 }
 
-void
-DataHierarchy::invalidateAll()
-{
-    l1Cache.invalidateAll();
-    l2Cache.invalidateAll();
-}
-
 } // namespace contest

@@ -83,9 +83,6 @@ class DataHierarchy
     /** Cycles the memory bus stays busy after the current booking. */
     Cycles busFreeAt() const { return busFree; }
 
-    /** Drop all cached lines in both levels. */
-    void invalidateAll();
-
   private:
     Cache l1Cache;
     Cache l2Cache;

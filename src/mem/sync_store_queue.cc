@@ -1,7 +1,6 @@
 #include "mem/sync_store_queue.hh"
 
 #include <algorithm>
-#include <utility>
 
 #include "common/log.hh"
 
@@ -99,20 +98,6 @@ SyncStoreQueue::reforkAll(StoreSeq store_count)
     tryMerge();
 }
 
-StoreSeq
-SyncStoreQueue::performedBy(CoreId core) const
-{
-    panic_if(core >= performed.size(),
-             "SyncStoreQueue: core %u out of range", core);
-    return performed[core];
-}
-
-std::vector<MergedStore>
-SyncStoreQueue::drainMerged()
-{
-    return std::exchange(mergedSinceDrain, {});
-}
-
 void
 SyncStoreQueue::tryMerge()
 {
@@ -131,9 +116,6 @@ SyncStoreQueue::tryMerge()
     while (numMerged < frontier) {
         panic_if(pendingCount == 0,
                  "SyncStoreQueue: merge frontier beyond recorded stores");
-        if (recordMerged)
-            mergedSinceDrain.push_back(
-                MergedStore{numMerged, pendingAddrs[pendingHead]});
         pendingHead = (pendingHead + 1) % cap;
         --pendingCount;
         ++pendingBase;

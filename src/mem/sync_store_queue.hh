@@ -30,13 +30,6 @@
 namespace contest
 {
 
-/** One store released to the shared level. */
-struct MergedStore
-{
-    StoreSeq index{};  //!< 0-based position in the store stream
-    Addr addr = 0;
-};
-
 /** Synchronizing store queue shared by all contesting cores. */
 class SyncStoreQueue
 {
@@ -77,26 +70,8 @@ class SyncStoreQueue
      */
     void reforkAll(StoreSeq store_count);
 
-    /** Number of stores performed so far by the given core. */
-    StoreSeq performedBy(CoreId core) const;
-
     /** Number of merged stores released to the shared level. */
     StoreSeq mergedCount() const { return numMerged; }
-
-    /**
-     * Record merged stores for later drainMerged() retrieval. Off by
-     * default: recording grows an unbounded log that nothing in a
-     * normal contested run ever drains. Tests that verify the merged
-     * stream switch it on before running.
-     */
-    void setRecordMerged(bool record) { recordMerged = record; }
-
-    /**
-     * Drain and return stores merged since the last call (the shared
-     * level consumes these; tests verify the stream). Only populated
-     * while setRecordMerged(true) is in effect.
-     */
-    std::vector<MergedStore> drainMerged();
 
     /** Queue capacity per core. */
     std::size_t capacity() const { return cap; }
@@ -122,8 +97,6 @@ class SyncStoreQueue
     /** Stream index of the oldest un-merged store. */
     StoreSeq pendingBase{};
     StoreSeq numMerged{};
-    bool recordMerged = false;
-    std::vector<MergedStore> mergedSinceDrain;
 };
 
 } // namespace contest

@@ -178,19 +178,6 @@ parseServeRequest(const JsonValue &doc, ServeRequest &out,
         return true;
     }
 
-    if (kind == "sleep") {
-        out.kind = ServeRequest::Kind::Sleep;
-        if (!u64Field(doc, "ms", out.sleepMs, error))
-            return false;
-        if (out.sleepMs > ServeRequest::maxSleepMs) {
-            error = "'ms' of " + std::to_string(out.sleepMs)
-                    + " exceeds the sleep limit of "
-                    + std::to_string(ServeRequest::maxSleepMs);
-            return false;
-        }
-        return true;
-    }
-
     error = "unknown request kind '" + kind + "'";
     return false;
 }
@@ -211,8 +198,6 @@ serveKindName(ServeRequest::Kind kind)
         return "contest";
       case ServeRequest::Kind::Experiment:
         return "experiment";
-      case ServeRequest::Kind::Sleep:
-        return "sleep";
     }
     return "unknown";
 }

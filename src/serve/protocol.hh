@@ -11,7 +11,6 @@
  *   {"kind": "contest",  "id": <any>, "bench": "gcc",
  *    "cores": ["gcc", "twolf"], "trace_len": 40000}
  *   {"kind": "experiment", "id": <any>, "name": "fig06"}
- *   {"kind": "sleep",    "id": <any>, "ms": 250}
  *
  * "id" is optional and echoed verbatim in the response, so clients
  * may pipeline requests and match replies. Responses carry
@@ -46,7 +45,6 @@ struct ServeRequest
         Single,     //!< one benchmark on one core type
         Contest,    //!< an N-way contested run
         Experiment, //!< a registered suite experiment by name
-        Sleep,      //!< hold a worker for a bounded time (drain tests)
     };
 
     Kind kind = Kind::Ping;
@@ -57,15 +55,12 @@ struct ServeRequest
     std::vector<std::string> cores; //!< contest, 2..maxContestCores
     std::uint64_t traceLenOverride = 0; //!< contest; 0 = server's
     std::string experiment;             //!< experiment
-    std::uint64_t sleepMs = 0;          //!< sleep
 
     /** Most cores one contest request may name. */
     static constexpr std::size_t maxContestCores = 8;
     /** Largest per-request trace-length override (bounds the memory
      *  and time one request can demand). */
     static constexpr std::uint64_t maxTraceLenOverride = 4'000'000;
-    /** Longest accepted sleep request. */
-    static constexpr std::uint64_t maxSleepMs = 10'000;
 };
 
 /**

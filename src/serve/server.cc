@@ -396,22 +396,13 @@ ContestServer::execute(const Job &job)
     const ServeRequest &req = job.req;
     const auto startedAt = SimTimeline::now();
     JsonValue resp;
-    // Sleep and experiment replies are cold. A single or contest
-    // reply is warm unless this call materialized its result (ran
-    // the Runner's once-latch body): a twin that waited on the
-    // latch, or a result that landed after the reader's probe, reads
-    // warm.
+    // Experiment replies are cold. A single or contest reply is warm
+    // unless this call materialized its result (ran the Runner's
+    // once-latch body): a twin that waited on the latch, or a result
+    // that landed after the reader's probe, reads warm.
     bool materialized = true;
 
     switch (req.kind) {
-      case ServeRequest::Kind::Sleep:
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(req.sleepMs));
-        resp = serveOkResponse(req);
-        resp.set("slept_ms",
-                 JsonValue::number(
-                     static_cast<double>(req.sleepMs)));
-        break;
       case ServeRequest::Kind::Single:
         resp = singleReply(
             req, runner_->single(req.bench, coreConfigByName(req.core),

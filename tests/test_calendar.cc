@@ -1,15 +1,14 @@
 /**
  * @file
- * TickCalendar unit tests: the event calendar that replaced the
- * O(n) next_tick min-scan in ContestSystem::run must order edges by
+ * Contest clock-calendar tests: earliestEdge, the scan over per-core
+ * next edges that ContestSystem steps by, must order edges by
  * (time, core id) — equal-time ties deterministically go to the
- * lower core id, the order the old linear scan produced — and must
- * support keyed update and removal without disturbing that order.
+ * lower core id — follow edges that move either way, and never pick
+ * a parked core.
  */
 
 #include <gtest/gtest.h>
 
-#include "contest/calendar.hh"
 #include "contest/system.hh"
 #include "core/palette.hh"
 #include "trace/generator.hh"
@@ -19,82 +18,61 @@ namespace contest
 namespace
 {
 
-TEST(TickCalendar, EqualTimesPopInCoreIdOrder)
+constexpr TimePs parked = TimePs::max();
+
+TEST(ContestCalendar, EqualTimesGoToTheLowerCoreId)
 {
-    TickCalendar cal(4);
-    // Insert in scrambled order, all at the same time.
-    for (CoreId c : {2u, 0u, 3u, 1u})
-        cal.set(c, TimePs{100});
+    std::vector<TimePs> edges(4, TimePs{100});
+    // Park the current minimum each round: the rest still surface in
+    // core-id order.
     for (CoreId expect : {0u, 1u, 2u, 3u}) {
-        EXPECT_EQ(cal.minCore(), expect);
-        EXPECT_EQ(cal.minTime(), TimePs{100});
-        cal.remove(cal.minCore());
+        EXPECT_EQ(earliestEdge(edges), expect);
+        edges[expect] = parked;
     }
-    EXPECT_TRUE(cal.empty());
 }
 
-TEST(TickCalendar, UpdateMovesAnEdgeBothWays)
+TEST(ContestCalendar, AMovedEdgeReordersBothWays)
 {
-    TickCalendar cal(3);
-    cal.set(0, TimePs{300});
-    cal.set(1, TimePs{200});
-    cal.set(2, TimePs{100});
-    EXPECT_EQ(cal.minCore(), 2u);
+    std::vector<TimePs> edges{TimePs{300}, TimePs{200}, TimePs{100}};
+    EXPECT_EQ(earliestEdge(edges), 2u);
 
-    cal.set(2, TimePs{400}); // later: core 1 surfaces
-    EXPECT_EQ(cal.minCore(), 1u);
-    EXPECT_EQ(cal.minTime(), TimePs{200});
+    edges[2] = TimePs{400}; // later: core 1 surfaces
+    EXPECT_EQ(earliestEdge(edges), 1u);
 
-    cal.set(0, TimePs{50}); // earlier: core 0 surfaces
-    EXPECT_EQ(cal.minCore(), 0u);
-    EXPECT_EQ(cal.minTime(), TimePs{50});
+    edges[0] = TimePs{50}; // earlier: core 0 surfaces
+    EXPECT_EQ(earliestEdge(edges), 0u);
 
-    // An update to an equal time still favors the lower id.
-    cal.set(1, TimePs{50});
-    EXPECT_EQ(cal.minCore(), 0u);
+    // A move to an equal time still favors the lower id.
+    edges[1] = TimePs{50};
+    EXPECT_EQ(earliestEdge(edges), 0u);
 }
 
-TEST(TickCalendar, RemoveKeepsTheRestConsistent)
+TEST(ContestCalendar, ParkedCoresAreNeverPicked)
 {
-    TickCalendar cal(5);
-    for (CoreId c = 0; c < 5; ++c)
-        cal.set(c, TimePs{10 * (5 - c)}); // 50,40,30,20,10
-    EXPECT_EQ(cal.minCore(), 4u);
-
-    cal.remove(4);
-    EXPECT_FALSE(cal.contains(4));
-    EXPECT_EQ(cal.minCore(), 3u);
-
-    cal.remove(1); // interior removal
-    EXPECT_EQ(cal.size(), 3u);
-    cal.remove(1); // double removal is a no-op
-    EXPECT_EQ(cal.size(), 3u);
-
-    // Remaining cores drain in time order.
+    std::vector<TimePs> edges{TimePs{50}, TimePs{40}, TimePs{30},
+                              TimePs{20}, TimePs{10}};
+    edges[4] = parked;
+    EXPECT_EQ(earliestEdge(edges), 3u);
+    edges[1] = parked; // an interior core parks
+    // The remaining cores come up in time order.
     for (CoreId expect : {3u, 2u, 0u}) {
-        EXPECT_EQ(cal.minCore(), expect);
-        cal.remove(cal.minCore());
+        EXPECT_EQ(earliestEdge(edges), expect);
+        edges[expect] = parked;
     }
-    EXPECT_TRUE(cal.empty());
 }
 
-TEST(TickCalendar, ReinsertAfterRemove)
+TEST(ContestCalendarDeathTest, EveryCoreParkedIsADeadlock)
 {
-    TickCalendar cal(2);
-    cal.set(0, TimePs{100});
-    cal.set(1, TimePs{200});
-    cal.remove(0);
-    cal.set(0, TimePs{300});
-    EXPECT_EQ(cal.minCore(), 1u);
-    EXPECT_TRUE(cal.contains(0));
+    std::vector<TimePs> edges(3, parked);
+    EXPECT_DEATH(earliestEdge(edges), "every core is parked");
 }
 
-TEST(TickCalendar, IdenticalCoresContestDeterministically)
+TEST(ContestCalendar, IdenticalCoresContestDeterministically)
 {
     // Two identical cores tie on every clock edge; the calendar's
-    // id tie-break makes the whole contest deterministic (the old
-    // min-scan's behavior). Same-config runs must agree exactly,
-    // and core 0 — ticked first on every edge — leads.
+    // id tie-break makes the whole contest deterministic. Same-config
+    // runs must agree exactly, and core 0 — ticked first on every
+    // edge — leads.
     auto trace = makeBenchmarkTrace("twolf", 2009, 15000);
     auto run = [&] {
         ContestSystem sys({coreConfigByName("twolf"),

@@ -257,28 +257,11 @@ TEST(RunningStat, ResetForgetsEverything)
     EXPECT_DOUBLE_EQ(s.mean(), 0.0);
 }
 
-TEST(Histogram, BucketsAndOverflow)
-{
-    Histogram h(10.0, 3); // buckets [0,10) [10,20) [20,30) + overflow
-    h.sample(5.0);
-    h.sample(15.0);
-    h.sample(25.0);
-    h.sample(35.0);
-    h.sample(-1.0); // clamps to first bucket
-    EXPECT_EQ(h.bucket(0), 2u);
-    EXPECT_EQ(h.bucket(1), 1u);
-    EXPECT_EQ(h.bucket(2), 1u);
-    EXPECT_EQ(h.overflow(), 1u);
-    EXPECT_EQ(h.samples(), 5u);
-    EXPECT_EQ(h.numBuckets(), 3u);
-}
-
-TEST(Means, ArithmeticHarmonicGeometric)
+TEST(Means, ArithmeticAndHarmonic)
 {
     std::vector<double> xs{1.0, 2.0, 4.0};
     EXPECT_NEAR(arithmeticMean(xs), 7.0 / 3.0, 1e-12);
     EXPECT_NEAR(harmonicMean(xs), 3.0 / (1.0 + 0.5 + 0.25), 1e-12);
-    EXPECT_NEAR(geometricMean(xs), 2.0, 1e-12);
     EXPECT_DOUBLE_EQ(arithmeticMean({}), 0.0);
     EXPECT_DOUBLE_EQ(harmonicMean({}), 0.0);
 }

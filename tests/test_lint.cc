@@ -213,8 +213,8 @@ TEST(LintCoreContainer, FlagsDequeAndPriorityQueueInCoreOnly)
               "core-container"));
     // The replacements do not trip the rule.
     EXPECT_TRUE(lintFile("src/core/ooo_core.cc",
-                         "RingBuffer<RobEntry> rob;\n"
-                         "MinHeap<TimedReady> timedReady;\n")
+                         "SoaVec<Cycles> robValueReadyAt;\n"
+                         "CycleRing<TimedReady> timedReady;\n")
                     .empty());
 }
 

@@ -121,14 +121,6 @@ TEST(Cache, SetWriteThroughClearsDirtyBits)
     EXPECT_FALSE(r.dirtyEviction); // dirty bit was flushed
 }
 
-TEST(Cache, InvalidateAllDropsLines)
-{
-    Cache c(tinyCache(4, 2, 64, 1));
-    c.access(0x000, false);
-    c.invalidateAll();
-    EXPECT_FALSE(c.probe(0x000));
-}
-
 TEST(Hierarchy, LatencyAccumulatesAcrossLevels)
 {
     DataHierarchy h(tinyCache(4, 1, 64, 2), tinyCache(16, 2, 64, 10),
@@ -183,7 +175,6 @@ TEST(Hierarchy, WriteThroughStorePropagatesToL2)
 TEST(SyncStoreQueue, MergesAtTheSlowestCore)
 {
     SyncStoreQueue q(2, 8);
-    q.setRecordMerged(true);
     q.performStore(0, 0xA0);
     q.performStore(0, 0xB0);
     EXPECT_EQ(q.mergedCount(), 0u); // core 1 has not performed any
@@ -191,13 +182,6 @@ TEST(SyncStoreQueue, MergesAtTheSlowestCore)
     EXPECT_EQ(q.mergedCount(), 1u);
     q.performStore(1, 0xB0);
     EXPECT_EQ(q.mergedCount(), 2u);
-
-    auto merged = q.drainMerged();
-    ASSERT_EQ(merged.size(), 2u);
-    EXPECT_EQ(merged[0].addr, 0xA0u);
-    EXPECT_EQ(merged[0].index, 0u);
-    EXPECT_EQ(merged[1].addr, 0xB0u);
-    EXPECT_EQ(q.drainMerged().size(), 0u);
 }
 
 TEST(SyncStoreQueue, BackpressuresTheLeader)
@@ -226,7 +210,6 @@ TEST(SyncStoreQueue, DropCoreUnblocksMerging)
     EXPECT_EQ(q.mergedCount(), 0u);
     q.dropCore(1); // saturated lagger leaves
     EXPECT_EQ(q.mergedCount(), 2u);
-    EXPECT_EQ(q.performedBy(0), 2u);
 }
 
 TEST(SyncStoreQueue, InactiveCoreCanAcceptPanics)

@@ -174,6 +174,38 @@ TEST_F(ResultCacheTest, RejectsTruncatedOrCorruptEntries)
     EXPECT_FALSE(cache.load("key", r, out));
 }
 
+TEST_F(ResultCacheTest, CorruptSeriesCountDegradesToMiss)
+{
+    ResultCache cache(dir);
+    const std::vector<TimePs> series{TimePs{1}, TimePs{2}, TimePs{3},
+                                     TimePs{4}};
+    cache.store("key", sampleResult(), series);
+    const std::string path = cache.entryPath("key");
+    // The region-series count is the word before the series, which
+    // ends the entry; the header before it stays valid.
+    const auto countAt = static_cast<std::streamoff>(
+        fs::file_size(path) - 8 * (series.size() + 1));
+
+    // Too few records for the file, and counts no file could hold:
+    // each must read as a miss, never as an allocation of that size.
+    for (std::uint64_t count :
+         {std::uint64_t{3}, std::uint64_t{1} << 32,
+          (std::uint64_t{1} << 63) - 1}) {
+        {
+            std::fstream f(path, std::ios::binary | std::ios::in
+                                     | std::ios::out);
+            f.seekp(countAt);
+            for (int i = 0; i < 8; ++i)
+                f.put(static_cast<char>((count >> (8 * i)) & 0xff));
+        }
+        SingleRunResult r;
+        std::vector<TimePs> out;
+        EXPECT_FALSE(cache.load("key", r, out)) << count;
+    }
+    EXPECT_EQ(cache.hits(), 0u);
+    EXPECT_EQ(cache.misses(), 3u);
+}
+
 TEST_F(ResultCacheTest, DigestCollisionDegradesToMiss)
 {
     ResultCache cache(dir);

@@ -22,6 +22,7 @@
 #include <unistd.h>
 #include <vector>
 
+#include "core/palette.hh"
 #include "serve/client.hh"
 #include "serve/frame.hh"
 #include "serve/protocol.hh"
@@ -84,11 +85,26 @@ errorText(const JsonValue &resp)
     return err != nullptr && err->isString() ? err->asString() : "";
 }
 
+/**
+ * A cold contest that holds a worker for a while: gcc against the
+ * palette core @p partner places among those other than gcc, at a
+ * long trace. Distinct partners are distinct keys, so no two of
+ * these requests share a result.
+ */
 JsonValue
-sleepRequest(double ms, double id)
+slowContestRequest(std::size_t partner, double id)
 {
-    JsonValue req = request("sleep", id);
-    req.set("ms", JsonValue::number(ms));
+    std::vector<std::string> others;
+    for (const CoreConfig &core : appendixAPalette())
+        if (core.name != "gcc")
+            others.push_back(core.name);
+    JsonValue cores = JsonValue::array();
+    cores.push(JsonValue::str("gcc"));
+    cores.push(JsonValue::str(others.at(partner)));
+    JsonValue req = request("contest", id);
+    req.set("bench", JsonValue::str("gcc"));
+    req.set("cores", std::move(cores));
+    req.set("trace_len", JsonValue::number(200000));
     return req;
 }
 
@@ -226,7 +242,7 @@ TEST(ServeProtocol, RejectsEveryMalformedShapeWithAnError)
         {R"({"kind":"contest","bench":"gcc","cores":["gcc","twolf"],
              "trace_len":999999999})",
          "per-request limit"},
-        {R"({"kind":"sleep","ms":99999})", "sleep limit"},
+        {R"({"kind":"sleep"})", "unknown request kind"},
     };
     for (const Case &c : cases) {
         std::string parseError;
@@ -488,19 +504,20 @@ TEST(ServeServer, AdmissionDepthBoundsAdmittedWork)
     std::string error;
     ASSERT_TRUE(server.start(&error)) << error;
 
-    // One connection pipelines eight sleeps without reading a reply.
-    const int kSleeps = 8;
+    // One connection pipelines eight cold contests without reading a
+    // reply.
+    const int kJobs = 8;
     ServeClient a;
     ASSERT_TRUE(a.connect(server.target(), &error)) << error;
-    for (int i = 0; i < kSleeps; ++i)
-        ASSERT_TRUE(a.send(sleepRequest(100, i), &error)) << error;
+    for (int i = 0; i < kJobs; ++i)
+        ASSERT_TRUE(a.send(slowContestRequest(i, i), &error)) << error;
 
     std::atomic<bool> done{false};
     int oks = 0;
     std::thread replies([&] {
         std::string err;
         JsonValue resp;
-        for (int i = 0; i < kSleeps && a.recv(resp, &err); ++i)
+        for (int i = 0; i < kJobs && a.recv(resp, &err); ++i)
             oks += okFlag(resp) ? 1 : 0;
         done.store(true);
     });
@@ -515,7 +532,7 @@ TEST(ServeServer, AdmissionDepthBoundsAdmittedWork)
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
     replies.join();
-    EXPECT_EQ(oks, kSleeps);
+    EXPECT_EQ(oks, kJobs);
     EXPECT_EQ(peak, 2.0);
 
     server.requestShutdown();
@@ -537,8 +554,8 @@ TEST(ServeServer, WarmHitDoesNotWaitForAWorker)
     ASSERT_TRUE(okFlag(resp)) << errorText(resp);
     const double coldPs = resp.at("time_ps").asNumber();
 
-    // Park the only worker in a sleep.
-    ASSERT_TRUE(a.send(sleepRequest(500, 2), &error)) << error;
+    // Park the only worker in a cold contest.
+    ASSERT_TRUE(a.send(slowContestRequest(0, 2), &error)) << error;
     ServeClient b;
     ASSERT_TRUE(b.connect(server.target(), &error)) << error;
     for (int tries = 0; tries < 200 && inFlight(b) < 1.0; ++tries)
@@ -553,7 +570,7 @@ TEST(ServeServer, WarmHitDoesNotWaitForAWorker)
     EXPECT_TRUE(resp.at("timing").at("warm").asBool());
     EXPECT_EQ(resp.at("timing").at("queue_ms").asNumber(), 0.0);
 
-    // ...so it arrives while the sleep's reply is still owed.
+    // ...so it arrives while the contest's reply is still owed.
     pollfd pending = {a.rawFd(), POLLIN, 0};
     EXPECT_EQ(::poll(&pending, 1, 0), 0);
     ASSERT_TRUE(a.recv(resp, &error)) << error;
@@ -598,14 +615,12 @@ TEST(ServeServer, DrainCompletesInFlightWorkAndRefusesNewWork)
     std::string error;
     ASSERT_TRUE(server.start(&error)) << error;
 
-    // Client A parks a worker in a long sleep.
+    // Client A parks the only worker in a cold contest.
     ServeClient a;
     ASSERT_TRUE(a.connect(server.target(), &error)) << error;
-    JsonValue sleepReq = request("sleep", 100);
-    sleepReq.set("ms", JsonValue::number(500));
-    ASSERT_TRUE(a.send(sleepReq, &error)) << error;
+    ASSERT_TRUE(a.send(slowContestRequest(0, 100), &error)) << error;
 
-    // Client B waits until the sleep is in flight, then asks for
+    // Client B waits until the contest is in flight, then asks for
     // shutdown and immediately tries to queue more work.
     ServeClient b;
     ASSERT_TRUE(b.connect(server.target(), &error)) << error;
@@ -620,9 +635,7 @@ TEST(ServeServer, DrainCompletesInFlightWorkAndRefusesNewWork)
     ASSERT_GE(resp.at("server").at("in_flight").asNumber(), 1.0);
 
     ASSERT_TRUE(b.send(request("shutdown", 201), &error)) << error;
-    JsonValue refusedReq = request("sleep", 202);
-    refusedReq.set("ms", JsonValue::number(1));
-    ASSERT_TRUE(b.send(refusedReq, &error)) << error;
+    ASSERT_TRUE(b.send(slowContestRequest(1, 202), &error)) << error;
 
     // B's refusal arrives before the shutdown ack: the ack waits
     // for the drain, the refusal does not.
@@ -631,7 +644,7 @@ TEST(ServeServer, DrainCompletesInFlightWorkAndRefusesNewWork)
     EXPECT_FALSE(okFlag(resp));
     EXPECT_NE(errorText(resp).find("draining"), std::string::npos);
 
-    // A's in-flight sleep still completes successfully.
+    // A's in-flight contest still completes successfully.
     ASSERT_TRUE(a.recv(resp, &error)) << error;
     EXPECT_EQ(resp.at("id").asNumber(), 100.0);
     EXPECT_TRUE(okFlag(resp));

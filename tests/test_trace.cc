@@ -167,9 +167,10 @@ TEST(Generator, BranchesHaveStablePcs)
         if (inst.op != OpClass::BranchCond)
             continue;
         auto [it, inserted] = target_of.emplace(inst.pc, inst.target);
-        if (!inserted)
+        if (!inserted) {
             ASSERT_EQ(it->second, inst.target)
                 << "branch site changed target";
+        }
     }
     EXPECT_GT(target_of.size(), 10u);
 }

@@ -20,8 +20,12 @@
  *                   or the hardware concurrency); results are
  *                   identical for every N
  *   --quiet         suppress info logging
+ *
+ * A malformed number prints the usage and exits 2.
  */
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -66,6 +70,28 @@ usage()
     std::exit(2);
 }
 
+/** @p text as a non-negative integer, or the usage. */
+std::uint64_t
+u64Arg(const std::string &text)
+{
+    std::uint64_t v = 0;
+    if (!parseU64(text.c_str(), v))
+        usage();
+    return v;
+}
+
+/** @p text as a finite, non-negative number, or the usage. */
+double
+nonNegativeArg(const std::string &text)
+{
+    char *end = nullptr;
+    const double v = std::strtod(text.c_str(), &end);
+    if (end == text.c_str() || *end != '\0' || !std::isfinite(v)
+        || v < 0.0)
+        usage();
+    return v;
+}
+
 Options
 parseOptions(std::vector<std::string> &args)
 {
@@ -79,12 +105,12 @@ parseOptions(std::vector<std::string> &args)
             return args[++i];
         };
         if (a == "--insts") {
-            opt.insts = std::strtoull(next().c_str(), nullptr, 10);
+            opt.insts = u64Arg(next());
         } else if (a == "--seed") {
-            opt.seed = std::strtoull(next().c_str(), nullptr, 10);
+            opt.seed = u64Arg(next());
         } else if (a == "--latency") {
-            opt.latencyPs = static_cast<TimePs>(
-                std::strtod(next().c_str(), nullptr) * 1000.0);
+            opt.latencyPs =
+                static_cast<TimePs>(nonNegativeArg(next()) * 1000.0);
         } else if (a == "--trace") {
             opt.traceFile = next();
         } else if (a == "--style") {
@@ -96,10 +122,9 @@ parseOptions(std::vector<std::string> &args)
             else
                 usage();
         } else if (a == "--jobs") {
+            // Clamped to [1, 1024], as CONTEST_JOBS is.
             opt.jobs = static_cast<unsigned>(
-                std::strtoul(next().c_str(), nullptr, 10));
-            if (opt.jobs == 0)
-                opt.jobs = 1;
+                std::clamp<std::uint64_t>(u64Arg(next()), 1, 1024));
         } else if (a == "--quiet") {
             setLogLevel(LogLevel::Silent);
         } else {

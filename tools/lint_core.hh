@@ -20,8 +20,8 @@
  *                          violated invariant, not just say "bad"
  *  - core-container        no std::deque / std::priority_queue in
  *                          src/core/: the per-tick hot path uses the
- *                          fixed-capacity RingBuffer and MinHeap
- *                          from common/
+ *                          fixed-capacity SoA rings (SoaVec) and the
+ *                          CycleRing timing wheel from common/
  *  - core-soa              no std::vector<bool> and no containers of
  *                          locally-defined per-entry structs (AoS) in
  *                          src/core/: hot state is parallel SoaVec
@@ -450,11 +450,12 @@ lintFile(const std::string &path, const std::string &content)
     }
 
     // ---- core-container ----------------------------------------
-    // The OooCore hot path was rebuilt on the fixed-capacity
-    // RingBuffer and the non-shrinking MinHeap (common/) precisely
-    // because node-based std::deque and std::priority_queue's
-    // allocation churn dominated the per-tick constants. New uses
-    // in src/core/ need an explicit allow-comment with the reason.
+    // The OooCore hot path was rebuilt on fixed-capacity SoA rings
+    // (SoaVec) and the CycleRing timing wheel (common/, DESIGN.md
+    // §12) precisely because node-based std::deque and
+    // std::priority_queue's allocation churn dominated the per-tick
+    // constants. New uses in src/core/ need an explicit
+    // allow-comment with the reason.
     if (path.rfind("src/core/", 0) == 0
         || path.rfind("core/", 0) == 0) {
         for (std::size_t i = 0; i < code.size(); ++i) {
@@ -465,9 +466,9 @@ lintFile(const std::string &path, const std::string &content)
                     report(i + 1, "core-container",
                            std::string(tok)
                                + "...> on the core hot path; use "
-                                 "RingBuffer / MinHeap from common/ "
-                                 "(fixed capacity, no per-tick "
-                                 "allocation)");
+                                 "an SoA ring (SoaVec) or CycleRing "
+                                 "from common/ (fixed capacity, no "
+                                 "per-tick allocation)");
             }
         }
     }
