@@ -17,9 +17,13 @@
  *   contest_bench fig06 fig08 [--out-dir artifacts]
  *   contest_bench --all [--fast] [--jobs N] [--cache-dir DIR]
  *                 [--timing]
+ *
+ * A malformed --trace-len, --seed or --jobs prints the usage and
+ * exits 2.
  */
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -29,6 +33,7 @@
 #include <vector>
 
 #include "bench/bench_common.hh"
+#include "common/env.hh"
 #include "harness/scheduler.hh"
 
 namespace
@@ -54,6 +59,16 @@ printUsage(std::FILE *to)
         "  --timing         per-simulation timeline report\n");
 }
 
+/** Reject @p flag's @p value: say why, print the usage, exit 2. */
+int
+badValue(const char *flag, const std::string &value, const char *why)
+{
+    std::fprintf(stderr, "contest_bench: %s '%s': %s\n", flag,
+                 value.c_str(), why);
+    printUsage(stderr);
+    return 2;
+}
+
 /** Flags that take a value as `--flag V` or `--flag=V`. */
 bool
 valueFlag(int argc, char **argv, int &i, const char *flag,
@@ -77,13 +92,13 @@ valueFlag(int argc, char **argv, int &i, const char *flag,
 int
 main(int argc, char **argv)
 {
-    applyJobsFlag(&argc, argv);
-
     bool run_all = false;
     bool list_only = false;
     bool timing = false;
     std::string out_dir;
     std::string value;
+    std::uint64_t number = 0;
+    const char *why = nullptr;
     std::vector<std::string> selected;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--list") == 0) {
@@ -99,9 +114,19 @@ main(int argc, char **argv)
         } else if (valueFlag(argc, argv, i, "--cache-dir", value)) {
             setenv("CONTEST_CACHE_DIR", value.c_str(), 1);
         } else if (valueFlag(argc, argv, i, "--trace-len", value)) {
+            if (!parseU64(value.c_str(), number, &why))
+                return badValue("--trace-len", value, why);
             setenv("CONTEST_TRACE_LEN", value.c_str(), 1);
         } else if (valueFlag(argc, argv, i, "--seed", value)) {
+            if (!parseU64(value.c_str(), number, &why))
+                return badValue("--seed", value, why);
             setenv("CONTEST_SEED", value.c_str(), 1);
+        } else if (valueFlag(argc, argv, i, "--jobs", value)) {
+            // Read before the pool's first use; defaultJobs()
+            // clamps it to [1, 1024].
+            if (!parseU64(value.c_str(), number, &why))
+                return badValue("--jobs", value, why);
+            setenv("CONTEST_JOBS", value.c_str(), 1);
         } else if (std::strcmp(argv[i], "--help") == 0
                    || std::strcmp(argv[i], "-h") == 0) {
             printUsage(stdout);

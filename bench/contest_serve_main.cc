@@ -105,8 +105,6 @@ valueFlag(int argc, char **argv, int &i, const char *flag,
 int
 main(int argc, char **argv)
 {
-    applyJobsFlag(&argc, argv);
-
     ServeOptions opts;
     std::string value;
     std::uint64_t number = 0;
@@ -120,9 +118,18 @@ main(int argc, char **argv)
             if (number > 65535)
                 return badValue("--port", value, "above 65535");
             opts.target.port = static_cast<int>(number);
+        } else if (valueFlag(argc, argv, i, "--jobs", value)) {
+            // defaultJobs() clamps it to [1, 1024].
+            if (!parseU64(value.c_str(), number, &why))
+                return badValue("--jobs", value, why);
+            setenv("CONTEST_JOBS", value.c_str(), 1);
         } else if (valueFlag(argc, argv, i, "--trace-len", value)) {
+            if (!parseU64(value.c_str(), number, &why))
+                return badValue("--trace-len", value, why);
             setenv("CONTEST_TRACE_LEN", value.c_str(), 1);
         } else if (valueFlag(argc, argv, i, "--seed", value)) {
+            if (!parseU64(value.c_str(), number, &why))
+                return badValue("--seed", value, why);
             setenv("CONTEST_SEED", value.c_str(), 1);
         } else if (valueFlag(argc, argv, i, "--cache-dir", value)) {
             opts.cacheDir = value;

@@ -2,8 +2,8 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 
@@ -35,6 +35,28 @@ parseU64(const char *text, std::uint64_t &value, const char **why)
         return false;
     }
     value = static_cast<std::uint64_t>(v);
+    return true;
+}
+
+bool
+parseNonNegative(const char *text, double &value, const char **why)
+{
+    const char *start = text;
+    while (std::isspace(static_cast<unsigned char>(*start)))
+        ++start;
+    char *end = nullptr;
+    const double v = std::strtod(start, &end);
+    const char *reason = *start == '-'       ? "negative"
+                         : end == start      ? "not a number"
+                         : *end != '\0'      ? "trailing garbage"
+                         : !std::isfinite(v) ? "not finite"
+                                             : nullptr;
+    if (reason != nullptr) {
+        if (why != nullptr)
+            *why = reason;
+        return false;
+    }
+    value = v;
     return true;
 }
 
@@ -97,36 +119,6 @@ defaultJobs()
     if (jobs > 1024)
         jobs = 1024;
     return static_cast<unsigned>(jobs);
-}
-
-/** Strip `--<flag> V` / `--<flag>=V` from argv into @p env_name. */
-static void
-stripValueFlag(int *argc, char **argv, const char *flag,
-               const char *env_name)
-{
-    const std::size_t n = std::strlen(flag);
-    int out = 1;
-    for (int i = 1; i < *argc; ++i) {
-        const char *arg = argv[i];
-        std::string value;
-        if (std::strcmp(arg, flag) == 0 && i + 1 < *argc) {
-            value = argv[++i];
-        } else if (std::strncmp(arg, flag, n) == 0 && arg[n] == '=') {
-            value = arg + n + 1;
-        } else {
-            argv[out++] = argv[i];
-            continue;
-        }
-        setenv(env_name, value.c_str(), 1);
-    }
-    argv[out] = nullptr;
-    *argc = out;
-}
-
-void
-applyJobsFlag(int *argc, char **argv)
-{
-    stripValueFlag(argc, argv, "--jobs", "CONTEST_JOBS");
 }
 
 } // namespace contest

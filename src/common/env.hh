@@ -20,7 +20,9 @@
  *
  * All integer knobs parse strictly (parseU64): a malformed value
  * (trailing garbage, negative, overflow) warns and falls back to the
- * default.
+ * default. The command-line flags that set them (contest_bench's and
+ * contest_serve's --trace-len, --seed and --jobs) reject a malformed
+ * value with the usage instead.
  */
 
 #ifndef CONTEST_COMMON_ENV_HH
@@ -41,6 +43,16 @@ namespace contest
  */
 bool parseU64(const char *text, std::uint64_t &value,
               const char **why = nullptr);
+
+/**
+ * Parse @p text strictly as one finite, non-negative decimal number
+ * (strtod syntax); leading whitespace is allowed. On a malformed
+ * value (trailing garbage, a minus sign, no digits, infinity, NaN,
+ * overflow) returns false, leaves @p value alone and, when @p why is
+ * non-null, points it at a short reason.
+ */
+bool parseNonNegative(const char *text, double &value,
+                      const char **why = nullptr);
 
 /** Read an unsigned integer env var, falling back to a default. */
 std::uint64_t envU64(const std::string &name, std::uint64_t def);
@@ -69,14 +81,6 @@ bool simNoSkip();
  * back to the hardware concurrency. Always at least 1.
  */
 unsigned defaultJobs();
-
-/**
- * Strip a leading-anywhere `--jobs N` / `--jobs=N` from argv (before
- * any other flag parsing) and export it as CONTEST_JOBS so every
- * layer — including the process-wide thread pool — sees the same
- * setting. Call before the pool's first use.
- */
-void applyJobsFlag(int *argc, char **argv);
 
 } // namespace contest
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/log.hh"
 
@@ -89,8 +90,7 @@ applyTechnologyModel(CoreConfig &config)
 AnnealResult
 annealCoreConfig(
     const std::function<double(const CoreConfig &)> &objective,
-    const CoreConfig &start, const AnnealConfig &anneal_config,
-    ThreadPool *pool)
+    const CoreConfig &start, const AnnealConfig &anneal_config)
 {
     fatal_if(!objective, "annealCoreConfig needs an objective");
 
@@ -201,17 +201,15 @@ annealCoreConfig(
     }
 
     // Speculative batches: mutate a round of neighbors from the
-    // current point (consuming the rng serially, so the trajectory
-    // is independent of the job count), score them concurrently,
-    // then replay the Metropolis scan in generation order. The
-    // acceptance uniform is pre-drawn per candidate because the
-    // winning index is unknown until the scan.
-    ThreadPool &workers =
-        pool != nullptr ? *pool : ThreadPool::global();
+    // current point and pre-draw an acceptance uniform for each,
+    // consuming the rng in the same order however much of the round
+    // is read, so the trajectory depends only on (seed, batch). The
+    // Metropolis scan then scores the candidates in generation order
+    // and stops at the first acceptance; the round's later
+    // candidates are never scored.
     StepCount consumed{};
     std::vector<CoreConfig> candidates;
     std::vector<double> uniforms;
-    std::vector<double> scores;
     while (consumed < anneal_config.steps) {
         std::uint64_t round = std::min<std::uint64_t>(
             anneal_config.batch,
@@ -222,24 +220,21 @@ annealCoreConfig(
             candidates.push_back(mutate(current));
             uniforms.push_back(rng.uniform());
         }
-        scores.assign(round, 0.0);
-        workers.parallelFor(round, [&](std::size_t i) {
-            scores[i] = objective(candidates[i]);
-        });
         result.evaluations += round;
 
         for (std::uint64_t i = 0; i < round; ++i) {
             ++consumed;
-            bool accept = scores[i] >= current_score;
+            double score = objective(candidates[i]);
+            bool accept = score >= current_score;
             if (!accept && temperature > 0.0) {
-                double p = std::exp((scores[i] - current_score)
-                                    / temperature);
+                double p =
+                    std::exp((score - current_score) / temperature);
                 accept = uniforms[i] < p;
             }
             temperature *= anneal_config.coolingFactor;
             if (accept) {
-                record_accept(candidates[i], scores[i]);
-                break; // discard the round's later speculations
+                record_accept(candidates[i], score);
+                break;
             }
         }
     }

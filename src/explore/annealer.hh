@@ -20,7 +20,6 @@
 #include <functional>
 
 #include "common/rng.hh"
-#include "common/thread_pool.hh"
 #include "core/config.hh"
 
 namespace contest
@@ -29,19 +28,19 @@ namespace contest
 /** Knobs of the annealing schedule. */
 struct AnnealConfig
 {
-    StepCount steps{200};            //!< neighbor evaluations
+    StepCount steps{200};            //!< neighbors scored
     double initialTemperature = 0.2; //!< relative objective scale
     double coolingFactor = 0.97;     //!< temperature decay per step
     std::uint64_t seed = 1;          //!< move-generation seed
     /**
-     * Neighbors evaluated concurrently per round (speculative
-     * annealing): each round mutates @c batch candidates from the
-     * current point, scores them on the thread pool, and accepts the
-     * first (in generation order) that passes the Metropolis test —
-     * later candidates of the round are discarded. 1 reproduces the
-     * classic serial walk. For a fixed (seed, batch) the trajectory
-     * is bit-identical for every job count; different batch sizes
-     * walk different (equally valid) trajectories.
+     * Neighbors proposed per round (speculative annealing): each
+     * round mutates @c batch candidates from the current point and
+     * pre-draws an acceptance uniform for each, then scores them in
+     * generation order and accepts the first that passes the
+     * Metropolis test; the round's later candidates are never
+     * scored. 1 reproduces the classic serial walk. The trajectory
+     * depends only on (seed, batch); different batch sizes walk
+     * different (equally valid) trajectories.
      */
     std::uint64_t batch = 1;
 };
@@ -51,6 +50,12 @@ struct AnnealResult
 {
     CoreConfig best;
     double bestScore = 0.0;
+    /**
+     * Design points proposed, the start point included: 1 plus the
+     * sum of the round sizes. The walk scores 1 + steps of them; with
+     * batch > 1 the candidates after a round's acceptance are
+     * proposed but never scored.
+     */
     std::uint64_t evaluations = 0;
     std::uint64_t accepted = 0;
 };
@@ -67,18 +72,15 @@ void applyTechnologyModel(CoreConfig &config);
  * Simulated-annealing exploration of the core design space.
  *
  * @param objective scores a candidate (higher is better); typically
- *        the IPT of a workload via runSingle(). With batch > 1 it
- *        must be safe to call concurrently.
+ *        the IPT of a workload via runSingle(). Called exactly
+ *        1 + steps times, in order, on the calling thread.
  * @param start initial design point
  * @param anneal_config schedule parameters
- * @param pool thread pool for batched neighbor evaluation (default:
- *        the process-wide pool); unused when batch <= 1
  */
 AnnealResult
 annealCoreConfig(const std::function<double(const CoreConfig &)> &objective,
                  const CoreConfig &start,
-                 const AnnealConfig &anneal_config,
-                 ThreadPool *pool = nullptr);
+                 const AnnealConfig &anneal_config);
 
 } // namespace contest
 

@@ -379,5 +379,27 @@ TEST(Env, ParseU64NamesWhatIsWrong)
     EXPECT_EQ(v, 65536u);
 }
 
+TEST(Env, ParseNonNegativeNamesWhatIsWrong)
+{
+    // The parser behind the tools' tolerances, rates and latencies.
+    const std::pair<const char *, const char *> bad[] = {
+        {"", "not a number"},         {"abc", "not a number"},
+        {"-1", "negative"},           {"-0", "negative"},
+        {"0.5x", "trailing garbage"}, {"inf", "not finite"},
+        {"nan", "not finite"},        {"1e999", "not finite"}};
+    for (const auto &[text, reason] : bad) {
+        double v = 7.0;
+        const char *why = nullptr;
+        EXPECT_FALSE(parseNonNegative(text, v, &why)) << "'" << text << "'";
+        EXPECT_EQ(v, 7.0) << "'" << text << "'";
+        EXPECT_STREQ(why, reason) << "'" << text << "'";
+    }
+    double v = 7.0;
+    EXPECT_TRUE(parseNonNegative(" 1e-6", v));
+    EXPECT_EQ(v, 1e-6);
+    EXPECT_TRUE(parseNonNegative("0", v));
+    EXPECT_EQ(v, 0.0);
+}
+
 } // namespace
 } // namespace contest

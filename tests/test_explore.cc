@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "explore/annealer.hh"
 #include "explore/cmp_design.hh"
@@ -179,18 +181,22 @@ TEST(Annealer, CacheLatencyFollowsCapacity)
     EXPECT_GT(c.l1d.latency, small_lat);
 }
 
+/** Analytic objective: prefer wide machines with big ROBs but
+ *  punish slow clocks. */
+double
+widthRobPerClock(const CoreConfig &c)
+{
+    double width_gain = std::sqrt(static_cast<double>(c.width));
+    double rob_gain = std::log2(static_cast<double>(c.robSize));
+    return width_gain * rob_gain * 1000.0
+        / static_cast<double>(c.clockPeriodPs);
+}
+
 TEST(Annealer, ImprovesAnAnalyticObjective)
 {
-    // Objective: prefer wide, shallow machines with big ROBs but
-    // punish slow clocks — the annealer must find a better tradeoff
-    // than the narrow start point.
-    auto objective = [](const CoreConfig &c) {
-        double width_gain = std::sqrt(static_cast<double>(c.width));
-        double rob_gain =
-            std::log2(static_cast<double>(c.robSize));
-        return width_gain * rob_gain * 1000.0
-            / static_cast<double>(c.clockPeriodPs);
-    };
+    // The annealer must find a better tradeoff than the narrow start
+    // point.
+    auto objective = widthRobPerClock;
 
     CoreConfig start;
     start.width = 2;
@@ -224,6 +230,94 @@ TEST(Annealer, DeterministicForEqualSeeds)
     EXPECT_EQ(r1.bestScore, r2.bestScore);
     EXPECT_EQ(r1.accepted, r2.accepted);
     EXPECT_EQ(r1.best.width, r2.best.width);
+}
+
+/**
+ * Anneal widthRobPerClock from the default core and check what the
+ * walk scored against what it proposed. A round proposes up to
+ * batch candidates and scores them in order up to its first
+ * acceptance, so the walk scores the start point plus one candidate
+ * per step, while evaluations counts every proposal. At initial
+ * temperature 0 the walk is greedy (a candidate is accepted iff its
+ * score does not fall), so its rounds replay from the scores alone.
+ */
+void
+checkScoredAgainstProposed(double temperature, std::uint64_t batch,
+                           std::uint64_t seed, std::uint64_t steps)
+{
+    SCOPED_TRACE(testing::Message()
+                 << "temperature " << temperature << " batch " << batch
+                 << " seed " << seed << " steps " << steps);
+    std::vector<double> scores;
+    auto objective = [&scores](const CoreConfig &c) {
+        scores.push_back(widthRobPerClock(c));
+        return scores.back();
+    };
+    AnnealConfig ac;
+    ac.steps = StepCount{steps};
+    ac.seed = seed;
+    ac.batch = batch;
+    ac.initialTemperature = temperature;
+    auto r = annealCoreConfig(objective, CoreConfig{}, ac);
+    ASSERT_EQ(scores.size(), 1 + steps);
+    EXPECT_GE(r.evaluations, 1 + steps);
+    EXPECT_LE(r.evaluations, 1 + steps + r.accepted * (batch - 1));
+    if (temperature > 0.0)
+        return;
+
+    double current = scores[0];
+    std::uint64_t proposed = 0;
+    std::uint64_t accepted = 0;
+    std::size_t next = 1;
+    while (next < scores.size()) {
+        std::uint64_t round =
+            std::min<std::uint64_t>(batch, scores.size() - next);
+        proposed += round;
+        for (std::uint64_t i = 0; i < round; ++i) {
+            double score = scores[next++];
+            if (score >= current) {
+                current = score;
+                ++accepted;
+                break;
+            }
+        }
+    }
+    EXPECT_EQ(r.evaluations, 1 + proposed);
+    EXPECT_EQ(r.accepted, accepted);
+}
+
+TEST(Annealer, ScoresOneCandidatePerStepWhateverTheBatch)
+{
+    for (double temperature : {0.2, 0.0})
+        for (std::uint64_t batch : {1, 2, 4, 8})
+            for (std::uint64_t seed = 1; seed <= 10; ++seed)
+                for (std::uint64_t steps : {15, 40})
+                    checkScoredAgainstProposed(temperature, batch,
+                                               seed, steps);
+}
+
+TEST(Annealer, BatchOfFourWalkIsPinned)
+{
+    // The walk of a round scored up to its first acceptance equals
+    // the walk of a round scored whole before the Metropolis scan;
+    // these are that walk's values, bit for bit.
+    std::uint64_t calls = 0;
+    auto objective = [&calls](const CoreConfig &c) {
+        ++calls;
+        return widthRobPerClock(c);
+    };
+    AnnealConfig ac;
+    ac.steps = StepCount{15};
+    ac.seed = 13;
+    ac.batch = 4;
+    auto r = annealCoreConfig(objective, CoreConfig{}, ac);
+    EXPECT_EQ(r.bestScore, 0x1.6fd0eb66fd0ebp+6);
+    EXPECT_EQ(r.accepted, 13u);
+    EXPECT_EQ(r.evaluations, 47u);
+    EXPECT_EQ(r.best.width, 4u);
+    EXPECT_EQ(r.best.robSize, 256u);
+    EXPECT_EQ(r.best.clockPeriodPs, TimePs{174});
+    EXPECT_EQ(calls, 16u);
 }
 
 

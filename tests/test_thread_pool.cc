@@ -86,24 +86,5 @@ TEST(Env, DefaultJobsHonorsEnvironment)
     EXPECT_GE(defaultJobs(), 1u);
 }
 
-TEST(Env, ApplyJobsFlagStripsArgv)
-{
-    const char *raw[] = {"prog", "--benchmark_filter=x", "--jobs",
-                         "5",    "--jobs=7",             nullptr};
-    char *argv[6];
-    for (int i = 0; i < 5; ++i)
-        argv[i] = const_cast<char *>(raw[i]);
-    argv[5] = nullptr;
-    int argc = 5;
-    applyJobsFlag(&argc, argv);
-    EXPECT_EQ(argc, 2);
-    EXPECT_STREQ(argv[0], "prog");
-    EXPECT_STREQ(argv[1], "--benchmark_filter=x");
-    EXPECT_EQ(argv[2], nullptr);
-    // Last flag wins.
-    EXPECT_STREQ(getenv("CONTEST_JOBS"), "7");
-    unsetenv("CONTEST_JOBS");
-}
-
 } // namespace
 } // namespace contest

@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "common/env.hh"
 #include "common/json.hh"
 #include "harness/artifact.hh"
 
@@ -42,7 +43,8 @@ printUsage(std::FILE *out)
         "CANDIDATE are two artifact JSON files, or two directories\n"
         "(every *.json in GOLDEN must exist and match in CANDIDATE).\n"
         "Numeric fields compare under |g - c| <= atol + rtol * |g|\n"
-        "(default rtol 1e-6, atol 1e-9); labels compare exactly.\n"
+        "(default rtol 1e-6, atol 1e-9; each finite and >= 0);\n"
+        "labels compare exactly.\n"
         "Exit: 0 match, 1 differences, 2 usage/IO error.\n");
 }
 
@@ -117,10 +119,16 @@ main(int argc, char **argv)
         if (arg == "--help" || arg == "-h") {
             printUsage(stdout);
             return 0;
-        } else if (arg == "--rtol" && i + 1 < argc) {
-            tol.rtol = std::strtod(argv[++i], nullptr);
-        } else if (arg == "--atol" && i + 1 < argc) {
-            tol.atol = std::strtod(argv[++i], nullptr);
+        } else if ((arg == "--rtol" || arg == "--atol") && i + 1 < argc) {
+            const char *value = argv[++i];
+            const char *why = nullptr;
+            if (!contest::parseNonNegative(
+                    value, arg == "--rtol" ? tol.rtol : tol.atol, &why)) {
+                std::fprintf(stderr, "artifact_diff: %s '%s': %s\n",
+                             arg.c_str(), value, why);
+                printUsage(stderr);
+                return 2;
+            }
         } else if (!arg.empty() && arg[0] == '-') {
             std::fprintf(stderr, "artifact_diff: unknown option %s\n",
                          arg.c_str());

@@ -18,15 +18,18 @@
  *       [--cores gcc,twolf,...] [--json]
  *
  * Exit status: 0 when every phase completed with zero failed
- * requests, 1 otherwise.
+ * requests, 1 otherwise, 2 on a malformed option.
  */
 
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "common/env.hh"
 #include "common/json.hh"
 #include "serve/loadgen.hh"
 
@@ -34,6 +37,9 @@ namespace
 {
 
 using namespace contest;
+
+/** Most client connections (and threads) one phase may open. */
+constexpr std::uint64_t maxClients = 1024;
 
 void
 printUsage(std::FILE *to)
@@ -44,7 +50,8 @@ printUsage(std::FILE *to)
         "\n"
         "  --phases N            identical phases to run (default 2:\n"
         "                        cold then warm)\n"
-        "  --clients N           concurrent connections (default 4)\n"
+        "  --clients N           concurrent connections, at most\n"
+        "                        1024 (default 4)\n"
         "  --requests N          requests per client (default 16)\n"
         "  --contest-fraction F  fraction of 2-way contests\n"
         "                        (default 0.25)\n"
@@ -54,6 +61,44 @@ printUsage(std::FILE *to)
         "  --benches a,b,...     benchmarks to draw from\n"
         "  --cores a,b,...       core types to draw from\n"
         "  --json                emit a JSON summary instead of text\n");
+}
+
+/** Reject @p flag's @p value: say why, print the usage, exit 2. */
+[[noreturn]] void
+badValue(const char *flag, const std::string &value, const char *why)
+{
+    std::fprintf(stderr, "contest_load: %s '%s': %s\n", flag,
+                 value.c_str(), why);
+    printUsage(stderr);
+    std::exit(2);
+}
+
+/** @p flag's @p value as an integer in [@p lo, @p hi], or exit 2. */
+std::uint64_t
+integerArg(const char *flag, const std::string &value, std::uint64_t lo,
+           std::uint64_t hi)
+{
+    std::uint64_t number = 0;
+    const char *why = nullptr;
+    if (!parseU64(value.c_str(), number, &why))
+        badValue(flag, value, why);
+    if (number < lo || number > hi) {
+        const std::string range = "not in [" + std::to_string(lo)
+            + ", " + std::to_string(hi) + "]";
+        badValue(flag, value, range.c_str());
+    }
+    return number;
+}
+
+/** @p flag's @p value as a finite, non-negative number, or exit 2. */
+double
+realArg(const char *flag, const std::string &value)
+{
+    double v = 0.0;
+    const char *why = nullptr;
+    if (!parseNonNegative(value.c_str(), v, &why))
+        badValue(flag, value, why);
+    return v;
 }
 
 bool
@@ -133,23 +178,27 @@ main(int argc, char **argv)
         if (valueFlag(argc, argv, i, "--socket", value)) {
             spec.target.unixPath = value;
         } else if (valueFlag(argc, argv, i, "--port", value)) {
-            spec.target.port = std::atoi(value.c_str());
+            spec.target.port =
+                static_cast<int>(integerArg("--port", value, 0, 65535));
         } else if (valueFlag(argc, argv, i, "--phases", value)) {
-            phases = static_cast<unsigned>(std::atoi(value.c_str()));
+            phases = static_cast<unsigned>(
+                integerArg("--phases", value, 1, UINT_MAX));
         } else if (valueFlag(argc, argv, i, "--clients", value)) {
-            spec.clients =
-                static_cast<unsigned>(std::atoi(value.c_str()));
+            spec.clients = static_cast<unsigned>(
+                integerArg("--clients", value, 1, maxClients));
         } else if (valueFlag(argc, argv, i, "--requests", value)) {
-            spec.requestsPerClient =
-                static_cast<unsigned>(std::atoi(value.c_str()));
+            spec.requestsPerClient = static_cast<unsigned>(
+                integerArg("--requests", value, 0, UINT_MAX));
         } else if (valueFlag(argc, argv, i, "--contest-fraction",
                              value)) {
-            spec.contestFraction = std::atof(value.c_str());
+            spec.contestFraction = realArg("--contest-fraction", value);
+            if (spec.contestFraction > 1.0)
+                badValue("--contest-fraction", value, "above 1");
         } else if (valueFlag(argc, argv, i, "--mix-seed", value)) {
-            spec.mixSeed = static_cast<std::uint64_t>(
-                std::strtoull(value.c_str(), nullptr, 10));
+            spec.mixSeed =
+                integerArg("--mix-seed", value, 0, UINT64_MAX);
         } else if (valueFlag(argc, argv, i, "--rps", value)) {
-            spec.openLoopRps = std::atof(value.c_str());
+            spec.openLoopRps = realArg("--rps", value);
         } else if (valueFlag(argc, argv, i, "--benches", value)) {
             spec.benches = splitList(value);
         } else if (valueFlag(argc, argv, i, "--cores", value)) {
@@ -166,7 +215,7 @@ main(int argc, char **argv)
             return 2;
         }
     }
-    if (!spec.target.valid() || phases == 0 || spec.clients == 0) {
+    if (!spec.target.valid()) {
         printUsage(stderr);
         return 2;
     }

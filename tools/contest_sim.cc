@@ -25,7 +25,6 @@
  */
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -84,10 +83,8 @@ u64Arg(const std::string &text)
 double
 nonNegativeArg(const std::string &text)
 {
-    char *end = nullptr;
-    const double v = std::strtod(text.c_str(), &end);
-    if (end == text.c_str() || *end != '\0' || !std::isfinite(v)
-        || v < 0.0)
+    double v = 0.0;
+    if (!parseNonNegative(text.c_str(), v))
         usage();
     return v;
 }
