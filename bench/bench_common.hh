@@ -1,7 +1,7 @@
 /**
  * @file
- * Shared scaffolding for the experiment suite: the parallel sweep
- * helper and the HET-design experiment used by Figures 10-13.
+ * Shared scaffolding for the experiment suite: the HET-design
+ * experiment used by Figures 10-13.
  * Experiments register themselves with REGISTER_EXPERIMENT
  * (harness/registry.hh) and emit FigureArtifacts
  * (harness/artifact.hh); the contest_bench driver selects and runs
@@ -15,29 +15,12 @@
 #include <vector>
 
 #include "common/stats.hh"
-#include "common/thread_pool.hh"
 #include "explore/cmp_design.hh"
 #include "harness/experiment.hh"
 #include "harness/registry.hh"
 
 namespace contest
 {
-
-/**
- * Map fn over [0, n) on the process-wide thread pool and return the
- * results in index order. Each task writes only its own slot, so the
- * output is bit-identical to a serial loop for any CONTEST_JOBS.
- */
-template <typename Fn>
-auto
-runParallel(std::size_t n, Fn fn)
-    -> std::vector<decltype(fn(std::size_t{0}))>
-{
-    std::vector<decltype(fn(std::size_t{0}))> out(n);
-    ThreadPool::global().parallelFor(
-        n, [&](std::size_t i) { out[i] = fn(i); });
-    return out;
-}
 
 /**
  * Figure 10/11/12 style experiment: each benchmark on the HOM core,

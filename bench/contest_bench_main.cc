@@ -18,127 +18,59 @@
  *   contest_bench --all [--fast] [--jobs N] [--cache-dir DIR]
  *                 [--timing]
  *
- * A malformed --trace-len, --seed or --jobs prints the usage and
- * exits 2.
+ * A bad command line prints the usage and exits 2 (common/cli.hh).
  */
 
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/bench_common.hh"
-#include "common/env.hh"
+#include "common/cli.hh"
 #include "harness/scheduler.hh"
 
-namespace
-{
-
 using namespace contest;
-
-void
-printUsage(std::FILE *to)
-{
-    std::fprintf(
-        to,
-        "usage: contest_bench [options] [experiment...]\n"
-        "\n"
-        "  --list           list registered experiments and exit\n"
-        "  --all            run every registered experiment\n"
-        "  --out-dir DIR    write one JSON artifact per experiment\n"
-        "  --cache-dir DIR  persistent single-core result cache\n"
-        "  --fast           shrink sweeps (CONTEST_FAST=1)\n"
-        "  --trace-len N    instructions per trace\n"
-        "  --seed N         workload generation seed\n"
-        "  --jobs N         parallel harness concurrency\n"
-        "  --timing         per-simulation timeline report\n");
-}
-
-/** Reject @p flag's @p value: say why, print the usage, exit 2. */
-int
-badValue(const char *flag, const std::string &value, const char *why)
-{
-    std::fprintf(stderr, "contest_bench: %s '%s': %s\n", flag,
-                 value.c_str(), why);
-    printUsage(stderr);
-    return 2;
-}
-
-/** Flags that take a value as `--flag V` or `--flag=V`. */
-bool
-valueFlag(int argc, char **argv, int &i, const char *flag,
-          std::string &value)
-{
-    std::size_t n = std::strlen(flag);
-    if (std::strcmp(argv[i], flag) == 0) {
-        fatal_if(i + 1 >= argc, "%s needs a value", flag);
-        value = argv[++i];
-        return true;
-    }
-    if (std::strncmp(argv[i], flag, n) == 0 && argv[i][n] == '=') {
-        value = argv[i] + n + 1;
-        return true;
-    }
-    return false;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
 {
-    bool run_all = false;
     bool list_only = false;
+    bool run_all = false;
+    bool fast = benchFastMode();
     bool timing = false;
     std::string out_dir;
-    std::string value;
-    std::uint64_t number = 0;
-    const char *why = nullptr;
-    std::vector<std::string> selected;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--list") == 0) {
-            list_only = true;
-        } else if (std::strcmp(argv[i], "--all") == 0) {
-            run_all = true;
-        } else if (std::strcmp(argv[i], "--fast") == 0) {
-            setenv("CONTEST_FAST", "1", 1);
-        } else if (std::strcmp(argv[i], "--timing") == 0) {
-            timing = true;
-        } else if (valueFlag(argc, argv, i, "--out-dir", value)) {
-            out_dir = value;
-        } else if (valueFlag(argc, argv, i, "--cache-dir", value)) {
-            setenv("CONTEST_CACHE_DIR", value.c_str(), 1);
-        } else if (valueFlag(argc, argv, i, "--trace-len", value)) {
-            if (!parseU64(value.c_str(), number, &why))
-                return badValue("--trace-len", value, why);
-            setenv("CONTEST_TRACE_LEN", value.c_str(), 1);
-        } else if (valueFlag(argc, argv, i, "--seed", value)) {
-            if (!parseU64(value.c_str(), number, &why))
-                return badValue("--seed", value, why);
-            setenv("CONTEST_SEED", value.c_str(), 1);
-        } else if (valueFlag(argc, argv, i, "--jobs", value)) {
-            // Read before the pool's first use; defaultJobs()
-            // clamps it to [1, 1024].
-            if (!parseU64(value.c_str(), number, &why))
-                return badValue("--jobs", value, why);
-            setenv("CONTEST_JOBS", value.c_str(), 1);
-        } else if (std::strcmp(argv[i], "--help") == 0
-                   || std::strcmp(argv[i], "-h") == 0) {
-            printUsage(stdout);
-            return 0;
-        } else if (argv[i][0] == '-') {
-            std::fprintf(stderr, "unknown option '%s'\n", argv[i]);
-            printUsage(stderr);
-            return 2;
-        } else {
-            selected.emplace_back(argv[i]);
-        }
-    }
+    std::string cache_dir;
+    std::uint64_t trace_len = benchTraceLen();
+    std::uint64_t seed = benchSeed();
+    std::uint64_t jobs = defaultJobs();
+    CommandLine cli("contest_bench", "[options] [experiment...]");
+    cli.flag("--list", list_only, "list registered experiments and exit");
+    cli.flag("--all", run_all, "run every registered experiment");
+    cli.text("--out-dir", "DIR", out_dir,
+             "write one JSON artifact per experiment");
+    cli.text("--cache-dir", "DIR", cache_dir,
+             "persistent single-core and contest result cache");
+    cli.flag("--fast", fast, "shrink sweeps (CONTEST_FAST=1)");
+    cli.integer("--trace-len", "N", trace_len, "instructions per trace",
+                RegionLog::regionInsts);
+    cli.integer("--seed", "N", seed, "workload generation seed");
+    cli.integer("--jobs", "N", jobs, "parallel harness concurrency");
+    cli.flag("--timing", timing, "per-simulation timeline report");
+    const std::vector<std::string> selected = cli.parse(argc, argv);
+
+    // The artifact metadata, benchFastMode() and the global pool read
+    // the environment; defaultJobs() clamps the jobs to [1, 1024].
+    if (fast)
+        setenv("CONTEST_FAST", "1", 1);
+    setenv("CONTEST_TRACE_LEN", std::to_string(trace_len).c_str(), 1);
+    setenv("CONTEST_SEED", std::to_string(seed).c_str(), 1);
+    setenv("CONTEST_JOBS", std::to_string(jobs).c_str(), 1);
 
     const ExperimentRegistry &registry =
         ExperimentRegistry::instance();
@@ -157,19 +89,13 @@ main(int argc, char **argv)
     } else if (!selected.empty()) {
         for (const auto &name : selected) {
             const ExperimentInfo *e = registry.find(name);
-            if (e == nullptr) {
-                std::fprintf(stderr,
-                             "unknown experiment '%s'; known:\n",
-                             name.c_str());
-                for (const ExperimentInfo *known : registry.all())
-                    std::fprintf(stderr, "  %s\n",
-                                 known->name.c_str());
-                return 2;
-            }
+            if (e == nullptr)
+                cli.fail("unknown experiment '" + name
+                         + "' (--list names them)");
             to_run.push_back(e);
         }
     } else {
-        printUsage(stdout);
+        std::fputs(cli.usage().c_str(), stdout);
         std::printf("\nregistered experiments:\n");
         for (const ExperimentInfo *e : registry.all())
             std::printf("  %-20s %s\n", e->name.c_str(),
@@ -177,7 +103,11 @@ main(int argc, char **argv)
         return 2;
     }
 
-    Runner &runner = benchRunner();
+    std::unique_ptr<ResultCache> cache;
+    if (!cache_dir.empty())
+        cache = std::make_unique<ResultCache>(cache_dir);
+    Runner runner(trace_len, seed);
+    runner.setResultCache(cache.get());
     SimTimeline timeline;
     runner.setTimeline(&timeline);
     ArtifactSink sink(out_dir);

@@ -16,17 +16,17 @@
  *                 [--cache-dir DIR] [--admission-depth N] [--quiet]
  *
  * SIGTERM and SIGINT drain gracefully: in-flight requests complete,
- * new ones are refused, then the process exits 0. A malformed
- * option exits 2 with the usage.
+ * new ones are refused, then the process exits 0. A bad command line
+ * prints the usage and exits 2 (common/cli.hh).
  */
 
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
+#include "common/cli.hh"
 #include "common/env.hh"
 #include "common/log.hh"
 #include "serve/server.hh"
@@ -49,121 +49,50 @@ handleStopSignal(int)
         liveServer->requestShutdown();
 }
 
-void
-printUsage(std::FILE *to)
-{
-    std::fprintf(
-        to,
-        "usage: contest_serve [options]\n"
-        "\n"
-        "  --socket PATH       listen on a Unix socket at PATH\n"
-        "  --port N            listen on 127.0.0.1:N, N <= 65535\n"
-        "                      (0 picks an ephemeral port, printed\n"
-        "                      at startup)\n"
-        "  --jobs N            simulation workers (default\n"
-        "                      CONTEST_JOBS / hardware concurrency)\n"
-        "  --trace-len N       instructions per trace\n"
-        "  --seed N            workload generation seed\n"
-        "  --cache-dir DIR     persistent result cache\n"
-        "  --admission-depth N most simulation jobs in flight,\n"
-        "                      queued plus running, N >= 1\n"
-        "                      (default 64);\n"
-        "                      further requests wait in their\n"
-        "                      connection\n"
-        "  --quiet             suppress startup/shutdown log lines\n");
-}
-
-/** Reject @p flag's @p value: say why, print the usage, exit 2. */
-int
-badValue(const char *flag, const std::string &value, const char *why)
-{
-    std::fprintf(stderr, "contest_serve: %s '%s': %s\n", flag,
-                 value.c_str(), why);
-    printUsage(stderr);
-    return 2;
-}
-
-bool
-valueFlag(int argc, char **argv, int &i, const char *flag,
-          std::string &value)
-{
-    const std::size_t n = std::strlen(flag);
-    if (std::strcmp(argv[i], flag) == 0) {
-        fatal_if(i + 1 >= argc, "%s needs a value", flag);
-        value = argv[++i];
-        return true;
-    }
-    if (std::strncmp(argv[i], flag, n) == 0 && argv[i][n] == '=') {
-        value = argv[i] + n + 1;
-        return true;
-    }
-    return false;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     ServeOptions opts;
-    std::string value;
-    std::uint64_t number = 0;
-    const char *why = nullptr;
-    for (int i = 1; i < argc; ++i) {
-        if (valueFlag(argc, argv, i, "--socket", value)) {
-            opts.target.unixPath = value;
-        } else if (valueFlag(argc, argv, i, "--port", value)) {
-            if (!parseU64(value.c_str(), number, &why))
-                return badValue("--port", value, why);
-            if (number > 65535)
-                return badValue("--port", value, "above 65535");
-            opts.target.port = static_cast<int>(number);
-        } else if (valueFlag(argc, argv, i, "--jobs", value)) {
-            // defaultJobs() clamps it to [1, 1024].
-            if (!parseU64(value.c_str(), number, &why))
-                return badValue("--jobs", value, why);
-            setenv("CONTEST_JOBS", value.c_str(), 1);
-        } else if (valueFlag(argc, argv, i, "--trace-len", value)) {
-            if (!parseU64(value.c_str(), number, &why))
-                return badValue("--trace-len", value, why);
-            setenv("CONTEST_TRACE_LEN", value.c_str(), 1);
-        } else if (valueFlag(argc, argv, i, "--seed", value)) {
-            if (!parseU64(value.c_str(), number, &why))
-                return badValue("--seed", value, why);
-            setenv("CONTEST_SEED", value.c_str(), 1);
-        } else if (valueFlag(argc, argv, i, "--cache-dir", value)) {
-            opts.cacheDir = value;
-        } else if (valueFlag(argc, argv, i, "--admission-depth",
-                             value)) {
-            if (!parseU64(value.c_str(), number, &why))
-                return badValue("--admission-depth", value, why);
-            if (number == 0)
-                return badValue("--admission-depth", value,
-                                "must be at least 1");
-            opts.admissionDepth = static_cast<std::size_t>(number);
-        } else if (std::strcmp(argv[i], "--quiet") == 0) {
-            opts.quiet = true;
-        } else if (std::strcmp(argv[i], "--help") == 0
-                   || std::strcmp(argv[i], "-h") == 0) {
-            printUsage(stdout);
-            return 0;
-        } else {
-            std::fprintf(stderr, "unknown option '%s'\n", argv[i]);
-            printUsage(stderr);
-            return 2;
-        }
-    }
-    if (!opts.target.valid()) {
-        std::fprintf(stderr,
-                     "contest_serve needs --socket PATH or "
-                     "--port N\n");
-        printUsage(stderr);
-        return 2;
-    }
-
-    opts.jobs = defaultJobs();
     opts.traceLen = benchTraceLen();
     opts.seed = benchSeed();
+    std::uint64_t jobs = defaultJobs();
+    CommandLine cli("contest_serve",
+                    "(--socket PATH | --port N) [options]");
+    cli.text("--socket", "PATH", opts.target.unixPath,
+             "listen on a Unix socket at PATH");
+    cli.integer("--port", "N", opts.target.port,
+                "listen on 127.0.0.1:N, N <= 65535 (0 picks an\n"
+                "ephemeral port, printed at startup)",
+                0, 65535);
+    cli.integer("--jobs", "N", jobs,
+                "simulation workers (default CONTEST_JOBS /\n"
+                "hardware concurrency)");
+    cli.integer("--trace-len", "N", opts.traceLen,
+                "instructions per trace", RegionLog::regionInsts);
+    cli.integer("--seed", "N", opts.seed, "workload generation seed");
+    cli.text("--cache-dir", "DIR", opts.cacheDir,
+             "persistent result cache");
+    cli.integer("--admission-depth", "N", opts.admissionDepth,
+                "most simulation jobs in flight, queued plus\n"
+                "running, N >= 1 (default 64); further requests\n"
+                "wait in their connection",
+                1);
+    cli.flag("--quiet", opts.quiet,
+             "suppress startup/shutdown log lines");
+    if (!cli.parse(argc, argv).empty())
+        cli.fail("takes no positional arguments");
+    if (!opts.target.valid())
+        cli.fail("needs --socket PATH or --port N");
+
+    // Experiment requests read the environment for their artifact
+    // metadata; defaultJobs() clamps the jobs to [1, 1024].
+    setenv("CONTEST_TRACE_LEN", std::to_string(opts.traceLen).c_str(),
+           1);
+    setenv("CONTEST_SEED", std::to_string(opts.seed).c_str(), 1);
+    setenv("CONTEST_JOBS", std::to_string(jobs).c_str(), 1);
+    opts.jobs = defaultJobs();
 
     // The startup line carries the resolved (possibly ephemeral)
     // listen address, so it must be visible by default.

@@ -35,7 +35,7 @@ runFig06(ExperimentContext &ctx)
     };
     const auto benches = profileNames();
     unsigned top = benchFastMode() ? 2 : 5;
-    auto rows = runParallel(benches.size(), [&](std::size_t i) {
+    auto rows = runner.runParallel(benches.size(), [&](std::size_t i) {
         Row row;
         row.own = runner.single(benches[i], benches[i]).result.ipt;
         row.choice = runner.bestContestingPair(benches[i], {}, top);

@@ -35,7 +35,7 @@ runFig13(ExperimentContext &ctx)
 
     // The per-benchmark HET-C contests are independent: sweep them
     // on the harness pool.
-    auto contests = runParallel(m.numBenches(), [&](std::size_t b) {
+    auto contests = runner.runParallel(m.numBenches(), [&](std::size_t b) {
         return runner.contestedPair(m.benchNames[b], core_a, core_b);
     });
 

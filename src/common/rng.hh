@@ -92,22 +92,6 @@ class Rng
     }
 
     /**
-     * Geometric number of failures before the first success,
-     * success probability p in (0, 1].
-     */
-    std::uint64_t
-    geometric(double p)
-    {
-        panic_if(p <= 0.0 || p > 1.0, "Rng::geometric() needs 0 < p <= 1");
-        if (p >= 1.0)
-            return 0;
-        std::uint64_t n = 0;
-        while (!chance(p) && n < 1'000'000)
-            ++n;
-        return n;
-    }
-
-    /**
      * Pick an index in [0, weights.size()) with probability
      * proportional to the weights; total weight must be positive.
      */
@@ -128,13 +112,6 @@ class Rng
             ++idx;
         }
         return weights.size() - 1;
-    }
-
-    /** Derive an independent child generator (for parallel streams). */
-    Rng
-    fork()
-    {
-        return Rng(next() ^ 0x9e3779b97f4a7c15ULL);
     }
 
   private:

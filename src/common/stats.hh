@@ -1,80 +1,17 @@
 /**
  * @file
- * Lightweight statistics used by the core models and the experiment
- * harness: running scalar summaries and the mean families
- * (arithmetic / harmonic) the paper's figures of merit are built
- * from.
+ * Lightweight statistics used by the experiment harness: the mean
+ * families (arithmetic / harmonic) the paper's figures of merit are
+ * built from, and first-wins argmax.
  */
 
 #ifndef CONTEST_COMMON_STATS_HH
 #define CONTEST_COMMON_STATS_HH
 
-#include <cmath>
-#include <cstdint>
-#include <limits>
 #include <vector>
 
 namespace contest
 {
-
-/** Incremental min / max / mean / variance over a stream of samples. */
-class RunningStat
-{
-  public:
-    /** Record one sample. */
-    void
-    sample(double x)
-    {
-        ++n;
-        double delta = x - meanAcc;
-        meanAcc += delta / static_cast<double>(n);
-        m2 += delta * (x - meanAcc);
-        if (x < minV)
-            minV = x;
-        if (x > maxV)
-            maxV = x;
-    }
-
-    /** Number of samples recorded so far. */
-    std::uint64_t count() const { return n; }
-
-    /** Arithmetic mean; 0 when empty. */
-    double mean() const { return n ? meanAcc : 0.0; }
-
-    /** Population variance; 0 when fewer than two samples. */
-    double
-    variance() const
-    {
-        return n > 1 ? m2 / static_cast<double>(n) : 0.0;
-    }
-
-    /** Population standard deviation. */
-    double stddev() const { return std::sqrt(variance()); }
-
-    /** Smallest sample; +inf when empty. */
-    double min() const { return minV; }
-
-    /** Largest sample; -inf when empty. */
-    double max() const { return maxV; }
-
-    /** Forget all samples. */
-    void
-    reset()
-    {
-        n = 0;
-        meanAcc = 0.0;
-        m2 = 0.0;
-        minV = std::numeric_limits<double>::infinity();
-        maxV = -std::numeric_limits<double>::infinity();
-    }
-
-  private:
-    std::uint64_t n = 0;
-    double meanAcc = 0.0;
-    double m2 = 0.0;
-    double minV = std::numeric_limits<double>::infinity();
-    double maxV = -std::numeric_limits<double>::infinity();
-};
 
 /** Arithmetic mean of a vector; 0 when empty. */
 double arithmeticMean(const std::vector<double> &xs);

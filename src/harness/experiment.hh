@@ -1,15 +1,11 @@
 /**
  * @file
- * Shared scaffolding for the experiment suite: the process-wide
- * Runner configured from the environment (with the optional
- * persistent result cache attached), and small helpers shared by
- * every figure/table.
+ * Small helpers shared by every figure/table of the experiment
+ * suite.
  */
 
 #ifndef CONTEST_HARNESS_EXPERIMENT_HH
 #define CONTEST_HARNESS_EXPERIMENT_HH
-
-#include <string>
 
 #include "common/env.hh"
 #include "common/table.hh"
@@ -17,14 +13,6 @@
 
 namespace contest
 {
-
-/**
- * The process-wide runner used by the experiment suite, configured
- * from CONTEST_TRACE_LEN / CONTEST_SEED on first use. When
- * CONTEST_CACHE_DIR names a directory, a persistent ResultCache is
- * attached so single-core runs survive across processes.
- */
-Runner &benchRunner();
 
 /** Speedup of @p value over @p baseline as a fraction. */
 inline double

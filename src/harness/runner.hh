@@ -142,6 +142,24 @@ class Runner
     const IptMatrix &matrix();
 
     /**
+     * Map @p fn over [0, n) on the runner's pool and return the
+     * results in index order. Each call writes only its own slot, so
+     * the output is bit-identical to a serial loop at any job count;
+     * with a one-job pool every index runs on the calling thread, in
+     * order. Experiments fan out through this, so a daemon's
+     * experiment request stays inside the daemon's `--jobs`.
+     */
+    template <typename Fn>
+    auto
+    runParallel(std::size_t n, Fn fn)
+        -> std::vector<decltype(fn(std::size_t{0}))>
+    {
+        std::vector<decltype(fn(std::size_t{0}))> out(n);
+        pool_->parallelFor(n, [&](std::size_t i) { out[i] = fn(i); });
+        return out;
+    }
+
+    /**
      * The best pair of core types to contest for a benchmark.
      * Candidate pairs are pre-ranked by the Figure 1 oracle fusion
      * of their region logs at fine granularity, then the top

@@ -77,12 +77,6 @@ class DataHierarchy
     /** Private L2 cache (for statistics). */
     const Cache &l2() const { return l2Cache; }
 
-    /** Shared-level latency in core cycles. */
-    Cycles memoryLatency() const { return memLatency; }
-
-    /** Cycles the memory bus stays busy after the current booking. */
-    Cycles busFreeAt() const { return busFree; }
-
   private:
     Cache l1Cache;
     Cache l2Cache;

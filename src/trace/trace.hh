@@ -98,13 +98,6 @@ class Trace
     /** Raw base of the pre-decoded flags array, parallel to data(). */
     const std::uint8_t *decodedFlags() const { return flags_.data(); }
 
-    /** Pre-decoded flags of the instruction at position @p seq. */
-    std::uint8_t
-    flagsOf(InstSeq seq) const
-    {
-        return flags_[static_cast<std::size_t>(seq.count())];
-    }
-
     /**
      * Up to @p max_count pre-decoded instructions starting at stream
      * position @p seq, clipped to the end of the trace. The block

@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the common substrate: RNG, statistics, tables,
- * environment knobs, and the IPT conversion.
+ * environment knobs, the command-line parser, and the IPT
+ * conversion.
  */
 
 #include <gtest/gtest.h>
@@ -9,10 +10,13 @@
 #include <cmath>
 #include <cstdlib>
 #include <set>
+#include <string>
 #include <type_traits>
 #include <unordered_set>
 #include <utility>
+#include <vector>
 
+#include "common/cli.hh"
 #include "common/env.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
@@ -225,38 +229,6 @@ TEST(Rng, WeightedRespectsWeights)
     EXPECT_NEAR(static_cast<double>(counts[2]) / counts[0], 3.0, 0.3);
 }
 
-TEST(Rng, ForkProducesIndependentStream)
-{
-    Rng a(21);
-    Rng b = a.fork();
-    int same = 0;
-    for (int i = 0; i < 100; ++i)
-        if (a.next() == b.next())
-            ++same;
-    EXPECT_LT(same, 2);
-}
-
-TEST(RunningStat, TracksMoments)
-{
-    RunningStat s;
-    for (double x : {1.0, 2.0, 3.0, 4.0})
-        s.sample(x);
-    EXPECT_EQ(s.count(), 4u);
-    EXPECT_DOUBLE_EQ(s.mean(), 2.5);
-    EXPECT_DOUBLE_EQ(s.min(), 1.0);
-    EXPECT_DOUBLE_EQ(s.max(), 4.0);
-    EXPECT_NEAR(s.variance(), 1.25, 1e-12);
-}
-
-TEST(RunningStat, ResetForgetsEverything)
-{
-    RunningStat s;
-    s.sample(10.0);
-    s.reset();
-    EXPECT_EQ(s.count(), 0u);
-    EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-}
-
 TEST(Means, ArithmeticAndHarmonic)
 {
     std::vector<double> xs{1.0, 2.0, 4.0};
@@ -399,6 +371,169 @@ TEST(Env, ParseNonNegativeNamesWhatIsWrong)
     EXPECT_EQ(v, 1e-6);
     EXPECT_TRUE(parseNonNegative("0", v));
     EXPECT_EQ(v, 0.0);
+}
+
+/** A parser over every kind of option, with the defaults it keeps
+ *  when an option is absent or refused. */
+struct Cli
+{
+    bool fast = false;
+    std::string dir = "none";
+    std::uint64_t len = 400'000;
+    unsigned phases = 2;
+    unsigned clients = 4;
+    double rate = 0.5;
+    CommandLine cli{"prog", "[options] [name...]"};
+
+    Cli()
+    {
+        cli.flag("--fast", fast, "shrink sweeps");
+        cli.text("--out-dir", "DIR", dir, "where artifacts go");
+        cli.integer("--trace-len", "N", len, "instructions", 20);
+        cli.integer("--phases", "N", phases, "phases", 1);
+        cli.integer("--clients", "N", clients, "connections", 1, 1024);
+        cli.number("--rate", "F", rate, "a fraction", 1.0);
+    }
+    Cli(const Cli &) = delete;
+    Cli &operator=(const Cli &) = delete;
+
+    CommandLine::Parsed
+    parse(const std::vector<std::string> &args)
+    {
+        return cli.parse(args);
+    }
+};
+
+TEST(CommandLine, TakesAValueAfterASpaceOrAnEqualsSign)
+{
+    Cli c;
+    auto p = c.parse({"--out-dir", "a", "--trace-len=5000", "--clients",
+                      "8", "--rate=0.25", "--fast", "--out-dir=b=c"});
+    EXPECT_EQ(p.error, "");
+    EXPECT_FALSE(p.help);
+    EXPECT_TRUE(p.positionals.empty());
+    EXPECT_TRUE(c.fast);
+    EXPECT_EQ(c.dir, "b=c");
+    EXPECT_EQ(c.len, 5000u);
+    EXPECT_EQ(c.clients, 8u);
+    EXPECT_EQ(c.rate, 0.25);
+    EXPECT_EQ(c.phases, 2u);
+}
+
+TEST(CommandLine, KeepsPositionalsInOrderBetweenOptions)
+{
+    Cli c;
+    auto p = c.parse({"fig06", "--fast", "fig08", "--trace-len", "40000",
+                      "-", "fig13"});
+    EXPECT_EQ(p.error, "");
+    EXPECT_EQ(p.positionals,
+              (std::vector<std::string>{"fig06", "fig08", "-", "fig13"}));
+    EXPECT_TRUE(c.fast);
+    EXPECT_EQ(c.len, 40000u);
+}
+
+TEST(CommandLine, NamesAMissingValueAndAnUnknownOption)
+{
+    const std::pair<std::vector<std::string>, const char *> bad[] = {
+        {{"--trace-len"}, "--trace-len: needs a value"},
+        {{"fig06", "--out-dir"}, "--out-dir: needs a value"},
+        {{"--bogus"}, "--bogus: unknown option"},
+        {{"--bogus=1"}, "--bogus: unknown option"},
+        {{"-x"}, "-x: unknown option"},
+        {{"--fast=1"}, "--fast '1': takes no value"},
+        {{"--seed", "7"}, "--seed: unknown option"}};
+    for (const auto &[args, why] : bad) {
+        Cli c;
+        EXPECT_EQ(c.parse(args).error, why) << args[0];
+    }
+}
+
+TEST(CommandLine, RefusesNumbersOutsideTheirRange)
+{
+    const std::pair<std::vector<std::string>, const char *> bad[] = {
+        {{"--trace-len", "0"}, "--trace-len '0': below 20"},
+        {{"--trace-len", "19"}, "--trace-len '19': below 20"},
+        {{"--trace-len", "-1"}, "--trace-len '-1': negative"},
+        {{"--trace-len=4k"}, "--trace-len '4k': trailing garbage"},
+        {{"--clients", "1025"}, "--clients '1025': above 1024"},
+        {{"--phases", "4294967296"},
+         "--phases '4294967296': above 4294967295"},
+        {{"--rate", "1.5"}, "--rate '1.5': above 1"},
+        {{"--rate", "inf"}, "--rate 'inf': not finite"}};
+    for (const auto &[args, why] : bad) {
+        Cli c;
+        EXPECT_EQ(c.parse(args).error, why) << args[0];
+        // A refused value leaves the default alone.
+        EXPECT_EQ(c.len, 400'000u);
+        EXPECT_EQ(c.clients, 4u);
+        EXPECT_EQ(c.rate, 0.5);
+    }
+    Cli c;
+    EXPECT_EQ(c.parse({"--trace-len", "20", "--clients", "1024", "--rate",
+                       "1", "--phases", "4294967295"})
+                  .error,
+              "");
+    EXPECT_EQ(c.len, 20u);
+    EXPECT_EQ(c.clients, 1024u);
+    EXPECT_EQ(c.rate, 1.0);
+    EXPECT_EQ(c.phases, 4294967295u);
+}
+
+TEST(CommandLine, HelpStopsTheParse)
+{
+    for (const char *help : {"--help", "-h"}) {
+        Cli c;
+        auto p = c.parse({"fig06", help, "--bogus", "--trace-len", "0"});
+        EXPECT_TRUE(p.help) << help;
+        EXPECT_EQ(p.error, "") << help;
+        EXPECT_EQ(c.len, 400'000u) << help;
+    }
+    // The first mistake wins over a later --help.
+    Cli c;
+    auto p = c.parse({"--bogus", "--help"});
+    EXPECT_FALSE(p.help);
+    EXPECT_EQ(p.error, "--bogus: unknown option");
+}
+
+TEST(CommandLine, BuildsTheUsageFromTheDeclarations)
+{
+    bool quiet = false;
+    std::uint64_t count = 1;
+    CommandLine cli("prog", "run <name> [options]\nlist", "Runs things.");
+    cli.flag("--quiet", quiet, "say less");
+    cli.integer("--count", "N", count, "how many,\nat least 1", 1);
+    EXPECT_EQ(cli.usage(), "usage: prog run <name> [options]\n"
+                           "       prog list\n"
+                           "\n"
+                           "Runs things.\n"
+                           "\n"
+                           "  --quiet     say less\n"
+                           "  --count N   how many,\n"
+                           "              at least 1\n"
+                           "  -h, --help  print this usage and exit\n");
+}
+
+TEST(CommandLineDeathTest, HelpExitsZeroAndAMistakeTwoWithTheUsage)
+{
+    auto run = [](std::vector<std::string> words) {
+        Cli c;
+        std::vector<char *> argv;
+        for (auto &w : words)
+            argv.push_back(w.data());
+        c.cli.parse(static_cast<int>(argv.size()), argv.data());
+        std::exit(3);
+    };
+    EXPECT_EXIT(run({"prog", "--help"}), testing::ExitedWithCode(0), "");
+    EXPECT_EXIT(run({"prog", "--trace-len", "0"}),
+                testing::ExitedWithCode(2),
+                "prog: --trace-len '0': below 20\nusage: prog \\[options");
+    EXPECT_EXIT(run({"prog", "--out-dir"}), testing::ExitedWithCode(2),
+                "prog: --out-dir: needs a value\nusage: prog");
+    EXPECT_EXIT(run({"prog", "fig06"}), testing::ExitedWithCode(3), "");
+    Cli c;
+    EXPECT_EXIT(c.cli.fail("unknown experiment 'x'"),
+                testing::ExitedWithCode(2),
+                "prog: unknown experiment 'x'\nusage: prog");
 }
 
 } // namespace

@@ -167,6 +167,25 @@ TEST(Runner, MatrixIsIdenticalForAnyJobCount)
                 << ms.benchNames[b] << " on " << ms.coreNames[c];
 }
 
+TEST(Runner, RunParallelStaysOnTheRunnersPool)
+{
+    // A daemon gives its Runner the daemon's own pool, and an
+    // experiment's fan-out must run there, not on the process-wide
+    // pool. Over a one-job pool that means every index on the
+    // calling thread, in index order.
+    ThreadPool pool(1);
+    Runner runner(4000, 3, &pool);
+    const auto caller = std::this_thread::get_id();
+    std::vector<std::size_t> order;
+    auto out = runner.runParallel(5, [&](std::size_t i) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        order.push_back(i);
+        return 10 * i;
+    });
+    EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+    EXPECT_EQ(out, (std::vector<std::size_t>{0, 10, 20, 30, 40}));
+}
+
 TEST(Runner, BestContestingPairIsIdenticalForAnyJobCount)
 {
     ThreadPool serial_pool(1);

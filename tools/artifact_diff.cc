@@ -9,21 +9,19 @@
  *
  * GOLDEN and CANDIDATE are either two JSON files or two directories;
  * for directories every *.json in GOLDEN must exist in CANDIDATE and
- * match. Exit status: 0 all match, 1 differences found, 2 usage or
- * I/O error.
+ * match. Exit status: 0 all match, 1 differences found, 2 a bad
+ * command line (common/cli.hh) or an I/O error.
  */
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "common/env.hh"
+#include "common/cli.hh"
 #include "common/json.hh"
 #include "harness/artifact.hh"
 
@@ -31,22 +29,6 @@ namespace fs = std::filesystem;
 
 namespace
 {
-
-void
-printUsage(std::FILE *out)
-{
-    std::fprintf(
-        out,
-        "usage: artifact_diff [--rtol X] [--atol Y] GOLDEN CANDIDATE\n"
-        "\n"
-        "Compare experiment artifacts field-by-field. GOLDEN and\n"
-        "CANDIDATE are two artifact JSON files, or two directories\n"
-        "(every *.json in GOLDEN must exist and match in CANDIDATE).\n"
-        "Numeric fields compare under |g - c| <= atol + rtol * |g|\n"
-        "(default rtol 1e-6, atol 1e-9; each finite and >= 0);\n"
-        "labels compare exactly.\n"
-        "Exit: 0 match, 1 differences, 2 usage/IO error.\n");
-}
 
 bool
 readFile(const fs::path &path, std::string &out)
@@ -112,36 +94,19 @@ int
 main(int argc, char **argv)
 {
     contest::ArtifactTolerance tol;
-    std::vector<std::string> paths;
-
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--help" || arg == "-h") {
-            printUsage(stdout);
-            return 0;
-        } else if ((arg == "--rtol" || arg == "--atol") && i + 1 < argc) {
-            const char *value = argv[++i];
-            const char *why = nullptr;
-            if (!contest::parseNonNegative(
-                    value, arg == "--rtol" ? tol.rtol : tol.atol, &why)) {
-                std::fprintf(stderr, "artifact_diff: %s '%s': %s\n",
-                             arg.c_str(), value, why);
-                printUsage(stderr);
-                return 2;
-            }
-        } else if (!arg.empty() && arg[0] == '-') {
-            std::fprintf(stderr, "artifact_diff: unknown option %s\n",
-                         arg.c_str());
-            printUsage(stderr);
-            return 2;
-        } else {
-            paths.push_back(arg);
-        }
-    }
-    if (paths.size() != 2) {
-        printUsage(stderr);
-        return 2;
-    }
+    contest::CommandLine cli(
+        "artifact_diff", "[--rtol X] [--atol Y] GOLDEN CANDIDATE",
+        "Compare experiment artifacts field-by-field. GOLDEN and\n"
+        "CANDIDATE are two artifact JSON files, or two directories\n"
+        "(every *.json in GOLDEN must exist and match in CANDIDATE).\n"
+        "Numeric fields compare under |g - c| <= atol + rtol * |g|;\n"
+        "labels compare exactly.\n"
+        "Exit: 0 match, 1 differences, 2 usage/IO error.");
+    cli.number("--rtol", "X", tol.rtol, "relative tolerance (default 1e-6)");
+    cli.number("--atol", "Y", tol.atol, "absolute tolerance (default 1e-9)");
+    const std::vector<std::string> paths = cli.parse(argc, argv);
+    if (paths.size() != 2)
+        cli.fail("needs GOLDEN and CANDIDATE");
 
     fs::path golden{paths[0]};
     fs::path cand{paths[1]};

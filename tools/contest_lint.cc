@@ -3,15 +3,15 @@
  * contest_lint — the repo's static-analysis gate.
  *
  * Usage:
- *     contest_lint [--root <repo-root>] [--format=human|json]
+ *     contest_lint [--root <repo-root>] [--format human|json]
  *                  [paths...]
  *
  * Runs the line rules in lint_core.hh over the given paths (default:
  * src bench tests). Findings print as `file:line: rule: message` (or
  * a JSON array with --format=json, matched by
  * .github/contest-lint-matcher.json in CI), followed by a summary
- * with the wall-clock spent. Exit codes: 0 clean, 1 findings, 2 bad
- * invocation.
+ * with the wall-clock spent. Exit codes: 0 clean, 1 findings, 2 a bad
+ * command line (common/cli.hh).
  * tests/lint_fixtures/ is skipped unless requested explicitly: it
  * holds intentionally-broken inputs for the linter's own tests.
  */
@@ -24,6 +24,8 @@
 #include <string>
 #include <vector>
 
+#include "common/cli.hh"
+#include "common/json.hh"
 #include "lint_core.hh"
 
 namespace fs = std::filesystem;
@@ -47,29 +49,6 @@ readFile(const fs::path &p)
     return ss.str();
 }
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
 } // namespace
 
 int
@@ -77,41 +56,26 @@ main(int argc, char **argv)
 {
     const auto t0 = std::chrono::steady_clock::now();
 
-    fs::path root = ".";
-    std::vector<std::string> paths;
+    std::string root = ".";
     std::string format = "human";
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--root" && i + 1 < argc) {
-            root = argv[++i];
-        } else if (arg.rfind("--format=", 0) == 0) {
-            format = arg.substr(9);
-            if (format != "human" && format != "json") {
-                std::fprintf(stderr,
-                             "contest_lint: unknown format '%s'\n",
-                             format.c_str());
-                return 2;
-            }
-        } else if (arg == "--help" || arg == "-h") {
-            std::printf("usage: contest_lint [--root <dir>] "
-                        "[--format=human|json] [paths...]\n");
-            return 0;
-        } else {
-            paths.push_back(arg);
-        }
-    }
+    contest::CommandLine cli("contest_lint",
+                             "[--root DIR] [--format human|json] "
+                             "[paths...]");
+    cli.text("--root", "DIR", root, "repository root (default .)");
+    cli.text("--format", "FMT", format,
+             "human (file:line: rule: message) or json");
+    std::vector<std::string> paths = cli.parse(argc, argv);
+    if (format != "human" && format != "json")
+        cli.fail("--format", format, "not human or json");
     if (paths.empty())
         paths = {"src", "bench", "tests"};
 
     std::size_t files = 0;
     std::vector<contest::lint::Violation> all;
     for (const auto &p : paths) {
-        fs::path base = root / p;
-        if (!fs::exists(base)) {
-            std::fprintf(stderr, "contest_lint: no such path: %s\n",
-                         base.string().c_str());
-            return 2;
-        }
+        fs::path base = fs::path(root) / p;
+        if (!fs::exists(base))
+            cli.fail("no such path: " + base.string());
         std::vector<fs::path> targets;
         if (fs::is_regular_file(base)) {
             targets.push_back(base);
@@ -148,17 +112,17 @@ main(int argc, char **argv)
             .count();
 
     if (format == "json") {
-        std::printf("[");
-        for (std::size_t i = 0; i < all.size(); ++i) {
-            const auto &v = all[i];
-            std::printf(
-                "%s\n  {\"file\": \"%s\", \"line\": %zu, "
-                "\"rule\": \"%s\", \"message\": \"%s\"}",
-                i ? "," : "", jsonEscape(v.file).c_str(), v.line,
-                jsonEscape(v.rule).c_str(),
-                jsonEscape(v.message).c_str());
+        contest::JsonValue findings = contest::JsonValue::array();
+        for (const auto &v : all) {
+            contest::JsonValue f = contest::JsonValue::object();
+            f.set("file", contest::JsonValue::str(v.file));
+            f.set("line", contest::JsonValue::number(
+                              static_cast<double>(v.line)));
+            f.set("rule", contest::JsonValue::str(v.rule));
+            f.set("message", contest::JsonValue::str(v.message));
+            findings.push(std::move(f));
         }
-        std::printf("%s]\n", all.empty() ? "" : "\n");
+        std::printf("%s\n", findings.dump(2).c_str());
     } else {
         for (const auto &v : all)
             std::printf("%s:%zu: %s: %s\n", v.file.c_str(), v.line,

@@ -18,18 +18,15 @@
  *       [--cores gcc,twolf,...] [--json]
  *
  * Exit status: 0 when every phase completed with zero failed
- * requests, 1 otherwise, 2 on a malformed option.
+ * requests, 1 otherwise, 2 on a bad command line (common/cli.hh).
  */
 
-#include <climits>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
-#include "common/env.hh"
+#include "common/cli.hh"
 #include "common/json.hh"
 #include "serve/loadgen.hh"
 
@@ -40,86 +37,6 @@ using namespace contest;
 
 /** Most client connections (and threads) one phase may open. */
 constexpr std::uint64_t maxClients = 1024;
-
-void
-printUsage(std::FILE *to)
-{
-    std::fprintf(
-        to,
-        "usage: contest_load (--socket PATH | --port N) [options]\n"
-        "\n"
-        "  --phases N            identical phases to run (default 2:\n"
-        "                        cold then warm)\n"
-        "  --clients N           concurrent connections, at most\n"
-        "                        1024 (default 4)\n"
-        "  --requests N          requests per client (default 16)\n"
-        "  --contest-fraction F  fraction of 2-way contests\n"
-        "                        (default 0.25)\n"
-        "  --mix-seed N          request mix seed (default 1)\n"
-        "  --rps R               open-loop rate per client\n"
-        "                        (default 0: closed loop)\n"
-        "  --benches a,b,...     benchmarks to draw from\n"
-        "  --cores a,b,...       core types to draw from\n"
-        "  --json                emit a JSON summary instead of text\n");
-}
-
-/** Reject @p flag's @p value: say why, print the usage, exit 2. */
-[[noreturn]] void
-badValue(const char *flag, const std::string &value, const char *why)
-{
-    std::fprintf(stderr, "contest_load: %s '%s': %s\n", flag,
-                 value.c_str(), why);
-    printUsage(stderr);
-    std::exit(2);
-}
-
-/** @p flag's @p value as an integer in [@p lo, @p hi], or exit 2. */
-std::uint64_t
-integerArg(const char *flag, const std::string &value, std::uint64_t lo,
-           std::uint64_t hi)
-{
-    std::uint64_t number = 0;
-    const char *why = nullptr;
-    if (!parseU64(value.c_str(), number, &why))
-        badValue(flag, value, why);
-    if (number < lo || number > hi) {
-        const std::string range = "not in [" + std::to_string(lo)
-            + ", " + std::to_string(hi) + "]";
-        badValue(flag, value, range.c_str());
-    }
-    return number;
-}
-
-/** @p flag's @p value as a finite, non-negative number, or exit 2. */
-double
-realArg(const char *flag, const std::string &value)
-{
-    double v = 0.0;
-    const char *why = nullptr;
-    if (!parseNonNegative(value.c_str(), v, &why))
-        badValue(flag, value, why);
-    return v;
-}
-
-bool
-valueFlag(int argc, char **argv, int &i, const char *flag,
-          std::string &value)
-{
-    const std::size_t n = std::strlen(flag);
-    if (std::strcmp(argv[i], flag) == 0) {
-        if (i + 1 >= argc) {
-            std::fprintf(stderr, "%s needs a value\n", flag);
-            std::exit(2);
-        }
-        value = argv[++i];
-        return true;
-    }
-    if (std::strncmp(argv[i], flag, n) == 0 && argv[i][n] == '=') {
-        value = argv[i] + n + 1;
-        return true;
-    }
-    return false;
-}
 
 std::vector<std::string>
 splitList(const std::string &csv)
@@ -169,56 +86,37 @@ int
 main(int argc, char **argv)
 {
     LoadSpec spec;
-    spec.benches = {"gcc", "twolf", "crafty", "vortex"};
-    spec.cores = {"gcc", "twolf", "crafty", "vortex"};
     unsigned phases = 2;
     bool json = false;
-    std::string value;
-    for (int i = 1; i < argc; ++i) {
-        if (valueFlag(argc, argv, i, "--socket", value)) {
-            spec.target.unixPath = value;
-        } else if (valueFlag(argc, argv, i, "--port", value)) {
-            spec.target.port =
-                static_cast<int>(integerArg("--port", value, 0, 65535));
-        } else if (valueFlag(argc, argv, i, "--phases", value)) {
-            phases = static_cast<unsigned>(
-                integerArg("--phases", value, 1, UINT_MAX));
-        } else if (valueFlag(argc, argv, i, "--clients", value)) {
-            spec.clients = static_cast<unsigned>(
-                integerArg("--clients", value, 1, maxClients));
-        } else if (valueFlag(argc, argv, i, "--requests", value)) {
-            spec.requestsPerClient = static_cast<unsigned>(
-                integerArg("--requests", value, 0, UINT_MAX));
-        } else if (valueFlag(argc, argv, i, "--contest-fraction",
-                             value)) {
-            spec.contestFraction = realArg("--contest-fraction", value);
-            if (spec.contestFraction > 1.0)
-                badValue("--contest-fraction", value, "above 1");
-        } else if (valueFlag(argc, argv, i, "--mix-seed", value)) {
-            spec.mixSeed =
-                integerArg("--mix-seed", value, 0, UINT64_MAX);
-        } else if (valueFlag(argc, argv, i, "--rps", value)) {
-            spec.openLoopRps = realArg("--rps", value);
-        } else if (valueFlag(argc, argv, i, "--benches", value)) {
-            spec.benches = splitList(value);
-        } else if (valueFlag(argc, argv, i, "--cores", value)) {
-            spec.cores = splitList(value);
-        } else if (std::strcmp(argv[i], "--json") == 0) {
-            json = true;
-        } else if (std::strcmp(argv[i], "--help") == 0
-                   || std::strcmp(argv[i], "-h") == 0) {
-            printUsage(stdout);
-            return 0;
-        } else {
-            std::fprintf(stderr, "unknown option '%s'\n", argv[i]);
-            printUsage(stderr);
-            return 2;
-        }
-    }
-    if (!spec.target.valid()) {
-        printUsage(stderr);
-        return 2;
-    }
+    std::string benches = "gcc,twolf,crafty,vortex";
+    std::string cores = benches;
+    CommandLine cli("contest_load", "(--socket PATH | --port N) [options]");
+    cli.text("--socket", "PATH", spec.target.unixPath,
+             "connect to the Unix socket at PATH");
+    cli.integer("--port", "N", spec.target.port,
+                "connect to 127.0.0.1:N, N <= 65535", 0, 65535);
+    cli.integer("--phases", "N", phases,
+                "identical phases to run (default 2: cold then warm)", 1);
+    cli.integer("--clients", "N", spec.clients,
+                "concurrent connections, at most 1024 (default 4)", 1,
+                maxClients);
+    cli.integer("--requests", "N", spec.requestsPerClient,
+                "requests per client (default 16)");
+    cli.number("--contest-fraction", "F", spec.contestFraction,
+               "fraction of 2-way contests (default 0.25)", 1.0);
+    cli.integer("--mix-seed", "N", spec.mixSeed,
+                "request mix seed (default 1)");
+    cli.number("--rps", "R", spec.openLoopRps,
+               "open-loop rate per client (default 0: closed loop)");
+    cli.text("--benches", "a,b,...", benches, "benchmarks to draw from");
+    cli.text("--cores", "a,b,...", cores, "core types to draw from");
+    cli.flag("--json", json, "emit a JSON summary instead of text");
+    if (!cli.parse(argc, argv).empty())
+        cli.fail("takes no positional arguments");
+    if (!spec.target.valid())
+        cli.fail("needs --socket PATH or --port N");
+    spec.benches = splitList(benches);
+    spec.cores = splitList(cores);
 
     JsonValue summary = JsonValue::object();
     JsonValue phaseArray = JsonValue::array();

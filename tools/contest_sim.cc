@@ -10,27 +10,17 @@
  *   contest_sim save    <benchmark> <file> [options]
  *   contest_sim cores
  *
- * Options:
- *   --insts N       trace length (default 200000)
- *   --seed N        workload seed (default 2009)
- *   --latency NS    GRB latency in nanoseconds (default 1)
- *   --trace FILE    replay a saved trace instead of generating
- *   --style S       injection style: portsteal | markready
- *   --jobs N        matrix-sweep concurrency (default CONTEST_JOBS
- *                   or the hardware concurrency); results are
- *                   identical for every N
- *   --quiet         suppress info logging
- *
- * A malformed number prints the usage and exits 2.
+ * `contest_sim --help` lists the options. A bad command line prints
+ * the usage and exits 2 (common/cli.hh).
  */
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "common/cli.hh"
 #include "common/env.hh"
 #include "common/thread_pool.hh"
 #include "contest/system.hh"
@@ -43,94 +33,19 @@ namespace
 
 using namespace contest;
 
+/** Longest GRB latency, in ns: keeps the conversion to picoseconds
+ *  far from overflow. Figure 8 sweeps up to 100 ns. */
+constexpr double maxLatencyNs = 1e6;
+
 struct Options
 {
     std::uint64_t insts = 200'000;
     std::uint64_t seed = 2009;
-    TimePs latencyPs{1'000};
+    double latencyNs = 1.0;
     std::string traceFile;
     InjectionStyle style = InjectionStyle::PortSteal;
-    unsigned jobs = defaultJobs();
+    std::uint64_t jobs = defaultJobs();
 };
-
-[[noreturn]] void
-usage()
-{
-    std::fprintf(
-        stderr,
-        "usage: contest_sim single <benchmark> <core> [options]\n"
-        "       contest_sim contest <benchmark> <coreA> <coreB> "
-        "[more cores] [options]\n"
-        "       contest_sim matrix [options]\n"
-        "       contest_sim save <benchmark> <file> [options]\n"
-        "       contest_sim cores\n"
-        "options: --insts N --seed N --latency NS --trace FILE\n"
-        "         --style portsteal|markready --jobs N --quiet\n");
-    std::exit(2);
-}
-
-/** @p text as a non-negative integer, or the usage. */
-std::uint64_t
-u64Arg(const std::string &text)
-{
-    std::uint64_t v = 0;
-    if (!parseU64(text.c_str(), v))
-        usage();
-    return v;
-}
-
-/** @p text as a finite, non-negative number, or the usage. */
-double
-nonNegativeArg(const std::string &text)
-{
-    double v = 0.0;
-    if (!parseNonNegative(text.c_str(), v))
-        usage();
-    return v;
-}
-
-Options
-parseOptions(std::vector<std::string> &args)
-{
-    Options opt;
-    std::vector<std::string> rest;
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        const std::string &a = args[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= args.size())
-                usage();
-            return args[++i];
-        };
-        if (a == "--insts") {
-            opt.insts = u64Arg(next());
-        } else if (a == "--seed") {
-            opt.seed = u64Arg(next());
-        } else if (a == "--latency") {
-            opt.latencyPs =
-                static_cast<TimePs>(nonNegativeArg(next()) * 1000.0);
-        } else if (a == "--trace") {
-            opt.traceFile = next();
-        } else if (a == "--style") {
-            std::string s = next();
-            if (s == "portsteal")
-                opt.style = InjectionStyle::PortSteal;
-            else if (s == "markready")
-                opt.style = InjectionStyle::MarkReady;
-            else
-                usage();
-        } else if (a == "--jobs") {
-            // Clamped to [1, 1024], as CONTEST_JOBS is.
-            opt.jobs = static_cast<unsigned>(
-                std::clamp<std::uint64_t>(u64Arg(next()), 1, 1024));
-        } else if (a == "--quiet") {
-            setLogLevel(LogLevel::Silent);
-        } else {
-            rest.push_back(a);
-        }
-    }
-    args = rest;
-    return opt;
-}
 
 TracePtr
 loadWorkload(const std::string &bench, const Options &opt)
@@ -141,11 +56,8 @@ loadWorkload(const std::string &bench, const Options &opt)
 }
 
 int
-cmdSingle(std::vector<std::string> args)
+cmdSingle(const std::vector<std::string> &args, const Options &opt)
 {
-    Options opt = parseOptions(args);
-    if (args.size() != 2)
-        usage();
     auto trace = loadWorkload(args[0], opt);
     const auto &core = coreConfigByName(args[1]);
     auto r = runSingle(core, trace);
@@ -165,11 +77,8 @@ cmdSingle(std::vector<std::string> args)
 }
 
 int
-cmdContest(std::vector<std::string> args)
+cmdContest(const std::vector<std::string> &args, const Options &opt)
 {
-    Options opt = parseOptions(args);
-    if (args.size() < 3)
-        usage();
     auto trace = loadWorkload(args[0], opt);
 
     std::vector<CoreConfig> cores;
@@ -177,7 +86,7 @@ cmdContest(std::vector<std::string> args)
         cores.push_back(coreConfigByName(args[i]));
 
     ContestConfig cfg;
-    cfg.grbLatencyPs = opt.latencyPs;
+    cfg.grbLatencyPs = static_cast<TimePs>(opt.latencyNs * 1000.0);
     cfg.injectionStyle = opt.style;
     ContestSystem system(cores, trace, cfg);
     auto r = system.run();
@@ -198,12 +107,8 @@ cmdContest(std::vector<std::string> args)
 }
 
 int
-cmdMatrix(std::vector<std::string> args)
+cmdMatrix(const std::vector<std::string> &, const Options &opt)
 {
-    Options opt = parseOptions(args);
-    if (!args.empty())
-        usage();
-
     // Sweep rows concurrently (each row shares one trace across its
     // simulations), buffering results so the printed matrix is
     // identical for every job count.
@@ -211,7 +116,9 @@ cmdMatrix(std::vector<std::string> args)
     const auto &palette = appendixAPalette();
     std::vector<std::vector<double>> ipt(
         benches.size(), std::vector<double>(palette.size(), 0.0));
-    ThreadPool pool(opt.jobs);
+    // Clamped to [1, 1024], as CONTEST_JOBS is.
+    ThreadPool pool(
+        static_cast<unsigned>(std::clamp<std::uint64_t>(opt.jobs, 1, 1024)));
     pool.parallelFor(benches.size(), [&](std::size_t b) {
         auto trace =
             makeBenchmarkTrace(benches[b], opt.seed, opt.insts);
@@ -234,11 +141,8 @@ cmdMatrix(std::vector<std::string> args)
 }
 
 int
-cmdSave(std::vector<std::string> args)
+cmdSave(const std::vector<std::string> &args, const Options &opt)
 {
-    Options opt = parseOptions(args);
-    if (args.size() != 2)
-        usage();
     auto trace = makeBenchmarkTrace(args[0], opt.seed, opt.insts);
     writeTrace(args[1], *trace);
     std::printf("wrote %zu instructions of '%s' to %s\n",
@@ -247,7 +151,7 @@ cmdSave(std::vector<std::string> args)
 }
 
 int
-cmdCores()
+cmdCores(const std::vector<std::string> &, const Options &)
 {
     std::printf("%-8s %5s %6s %6s %5s %9s %9s %7s\n", "core",
                 "width", "ROB", "IQ", "GHz", "L1D", "L2", "peak");
@@ -264,24 +168,71 @@ cmdCores()
     return 0;
 }
 
+/** A command: its name, how many arguments it takes, its body. */
+struct Command
+{
+    const char *name;
+    std::size_t minArgs;
+    std::size_t maxArgs;
+    int (*run)(const std::vector<std::string> &, const Options &);
+};
+
+const Command commands[] = {
+    {"single", 2, 2, cmdSingle},
+    {"contest", 3, SIZE_MAX, cmdContest},
+    {"matrix", 0, 0, cmdMatrix},
+    {"save", 2, 2, cmdSave},
+    {"cores", 0, 0, cmdCores},
+};
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    if (argc < 2)
-        usage();
-    std::string cmd = argv[1];
-    std::vector<std::string> args(argv + 2, argv + argc);
-    if (cmd == "single")
-        return cmdSingle(std::move(args));
-    if (cmd == "contest")
-        return cmdContest(std::move(args));
-    if (cmd == "matrix")
-        return cmdMatrix(std::move(args));
-    if (cmd == "save")
-        return cmdSave(std::move(args));
-    if (cmd == "cores")
-        return cmdCores();
-    usage();
+    Options opt;
+    std::string style = "portsteal";
+    bool quiet = false;
+    CommandLine cli("contest_sim",
+                    "single <benchmark> <core> [options]\n"
+                    "contest <benchmark> <coreA> <coreB> [more cores] "
+                    "[options]\n"
+                    "matrix [options]\n"
+                    "save <benchmark> <file> [options]\n"
+                    "cores");
+    cli.integer("--insts", "N", opt.insts,
+                "trace length, N >= 1 (default 200000)", 1);
+    cli.integer("--seed", "N", opt.seed, "workload seed (default 2009)");
+    cli.number("--latency", "NS", opt.latencyNs,
+               "GRB latency in nanoseconds, at most 1e6 (default 1)",
+               maxLatencyNs);
+    cli.text("--trace", "FILE", opt.traceFile,
+             "replay a saved trace instead of generating");
+    cli.text("--style", "S", style,
+             "injection style: portsteal | markready");
+    cli.integer("--jobs", "N", opt.jobs,
+                "matrix-sweep concurrency (default CONTEST_JOBS or\n"
+                "the hardware concurrency); results are identical\n"
+                "for every N");
+    cli.flag("--quiet", quiet, "suppress info logging");
+    const std::vector<std::string> args = cli.parse(argc, argv);
+
+    if (style == "markready")
+        opt.style = InjectionStyle::MarkReady;
+    else if (style != "portsteal")
+        cli.fail("--style", style, "not portsteal or markready");
+    if (quiet)
+        setLogLevel(LogLevel::Silent);
+
+    if (args.empty())
+        cli.fail("needs a command");
+    for (const Command &c : commands) {
+        if (args[0] != c.name)
+            continue;
+        const std::vector<std::string> rest(args.begin() + 1, args.end());
+        if (rest.size() < c.minArgs || rest.size() > c.maxArgs)
+            cli.fail(args[0] + ": wrong number of arguments");
+        return c.run(rest, opt);
+    }
+    cli.fail("unknown command '" + args[0] + "'");
 }
