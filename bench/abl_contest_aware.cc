@@ -31,8 +31,8 @@ runAblation(ExperimentContext &ctx)
     // annealing budget (the paper's Section 7.2 notes exactly this
     // cost explosion).
     std::uint64_t explore_len =
-        std::min<std::uint64_t>(runner.traceLen(), 60'000);
-    std::uint64_t steps = benchFastMode() ? 15 : 40;
+        std::min<std::uint64_t>(runner.settings().traceLen, 60'000);
+    std::uint64_t steps = runner.settings().fast ? 15 : 40;
     std::vector<std::string> benches{"gcc", "twolf", "bzip"};
 
     auto &t = art.table("Ablation G: best palette pair vs a partner "

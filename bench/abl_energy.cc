@@ -32,13 +32,13 @@ runAblation(ExperimentContext &ctx)
 
     std::vector<double> e_ratios;
     std::vector<double> ed_ratios;
-    unsigned top = benchFastMode() ? 2 : 5;
+    unsigned top = runner.settings().fast ? 2 : 5;
     for (const auto &bench : profileNames()) {
         const auto &own = runner.single(bench, bench);
         auto choice = runner.bestContestingPair(bench, {}, top);
         const auto &r = choice.result;
 
-        double insts = static_cast<double>(runner.traceLen());
+        double insts = static_cast<double>(runner.settings().traceLen);
         double epi_single = own.result.energy.totalNj() / insts;
         double epi_pair = r.totalEnergyNj() / insts;
         double e_ratio = epi_pair / epi_single;

@@ -22,7 +22,7 @@ runAblation(ExperimentContext &ctx)
 
     std::vector<std::size_t> depths{64, 256, 1024, 4096};
     std::vector<TimePs> latencies{TimePs{1'000}, TimePs{10'000}};
-    if (benchFastMode()) {
+    if (runner.settings().fast) {
         depths = {64, 4096};
         latencies = {TimePs{10'000}};
     }

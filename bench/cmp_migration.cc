@@ -43,7 +43,7 @@ runCmpMigration(ExperimentContext &ctx)
         {"history@10k/5us",
          {512, TimePs{5'000'000}, MigrationPolicy::History}},
     };
-    if (benchFastMode())
+    if (runner.settings().fast)
         schemes.resize(2);
 
     auto &t = art.table("Contesting vs migration: speedup over the "
@@ -54,7 +54,7 @@ runCmpMigration(ExperimentContext &ctx)
     t.columns.push_back("contesting");
 
     std::vector<double> avg(schemes.size() + 1, 0.0);
-    unsigned top = benchFastMode() ? 2 : 5;
+    unsigned top = runner.settings().fast ? 2 : 5;
     auto names = profileNames();
     for (const auto &bench : names) {
         const auto &own = runner.single(bench, bench);

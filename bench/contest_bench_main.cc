@@ -18,13 +18,13 @@
  *   contest_bench --all [--fast] [--jobs N] [--cache-dir DIR]
  *                 [--timing]
  *
- * A bad command line prints the usage and exits 2 (common/cli.hh).
+ * --trace-len, --seed, --fast and --jobs default to their CONTEST_*
+ * variables (common/env.hh). A bad command line or variable prints
+ * the usage and exits 2 (common/cli.hh).
  */
 
 #include <chrono>
-#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -42,13 +42,10 @@ main(int argc, char **argv)
 {
     bool list_only = false;
     bool run_all = false;
-    bool fast = benchFastMode();
     bool timing = false;
     std::string out_dir;
     std::string cache_dir;
-    std::uint64_t trace_len = benchTraceLen();
-    std::uint64_t seed = benchSeed();
-    std::uint64_t jobs = defaultJobs();
+    RunSettings settings;
     CommandLine cli("contest_bench", "[options] [experiment...]");
     cli.flag("--list", list_only, "list registered experiments and exit");
     cli.flag("--all", run_all, "run every registered experiment");
@@ -56,21 +53,9 @@ main(int argc, char **argv)
              "write one JSON artifact per experiment");
     cli.text("--cache-dir", "DIR", cache_dir,
              "persistent single-core and contest result cache");
-    cli.flag("--fast", fast, "shrink sweeps (CONTEST_FAST=1)");
-    cli.integer("--trace-len", "N", trace_len, "instructions per trace",
-                RegionLog::regionInsts);
-    cli.integer("--seed", "N", seed, "workload generation seed");
-    cli.integer("--jobs", "N", jobs, "parallel harness concurrency");
+    settings.declare(cli);
     cli.flag("--timing", timing, "per-simulation timeline report");
     const std::vector<std::string> selected = cli.parse(argc, argv);
-
-    // The artifact metadata, benchFastMode() and the global pool read
-    // the environment; defaultJobs() clamps the jobs to [1, 1024].
-    if (fast)
-        setenv("CONTEST_FAST", "1", 1);
-    setenv("CONTEST_TRACE_LEN", std::to_string(trace_len).c_str(), 1);
-    setenv("CONTEST_SEED", std::to_string(seed).c_str(), 1);
-    setenv("CONTEST_JOBS", std::to_string(jobs).c_str(), 1);
 
     const ExperimentRegistry &registry =
         ExperimentRegistry::instance();
@@ -106,12 +91,12 @@ main(int argc, char **argv)
     std::unique_ptr<ResultCache> cache;
     if (!cache_dir.empty())
         cache = std::make_unique<ResultCache>(cache_dir);
-    Runner runner(trace_len, seed);
+    ThreadPool pool(settings.jobs);
+    Runner runner(settings, &pool);
     runner.setResultCache(cache.get());
     SimTimeline timeline;
     runner.setTimeline(&timeline);
     ArtifactSink sink(out_dir);
-    ThreadPool &pool = ThreadPool::global();
     using Clock = std::chrono::steady_clock;
     auto suite_start = Clock::now();
     auto report = [](const ExperimentInfo &e, double sec) {

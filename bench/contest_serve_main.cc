@@ -12,22 +12,21 @@
  *
  * Usage:
  *   contest_serve --socket /tmp/contest.sock [--jobs N]
- *   contest_serve --port 0 [--trace-len N] [--seed N]
+ *   contest_serve --port 0 [--trace-len N] [--seed N] [--fast]
  *                 [--cache-dir DIR] [--admission-depth N] [--quiet]
  *
  * SIGTERM and SIGINT drain gracefully: in-flight requests complete,
- * new ones are refused, then the process exits 0. A bad command line
- * prints the usage and exits 2 (common/cli.hh).
+ * new ones are refused, then the process exits 0. --trace-len,
+ * --seed, --fast and --jobs default to their CONTEST_* variables
+ * (common/env.hh). A bad command line or variable prints the usage
+ * and exits 2 (common/cli.hh).
  */
 
 #include <csignal>
-#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "common/cli.hh"
-#include "common/env.hh"
 #include "common/log.hh"
 #include "serve/server.hh"
 
@@ -55,23 +54,17 @@ int
 main(int argc, char **argv)
 {
     ServeOptions opts;
-    opts.traceLen = benchTraceLen();
-    opts.seed = benchSeed();
-    std::uint64_t jobs = defaultJobs();
     CommandLine cli("contest_serve",
-                    "(--socket PATH | --port N) [options]");
+                    "(--socket PATH | --port N) [options]",
+                    "Every request runs at --trace-len and --seed, and "
+                    "--fast shrinks\nthe sweeps of experiment requests.");
     cli.text("--socket", "PATH", opts.target.unixPath,
              "listen on a Unix socket at PATH");
     cli.integer("--port", "N", opts.target.port,
                 "listen on 127.0.0.1:N, N <= 65535 (0 picks an\n"
                 "ephemeral port, printed at startup)",
                 0, 65535);
-    cli.integer("--jobs", "N", jobs,
-                "simulation workers (default CONTEST_JOBS /\n"
-                "hardware concurrency)");
-    cli.integer("--trace-len", "N", opts.traceLen,
-                "instructions per trace", RegionLog::regionInsts);
-    cli.integer("--seed", "N", opts.seed, "workload generation seed");
+    opts.settings.declare(cli);
     cli.text("--cache-dir", "DIR", opts.cacheDir,
              "persistent result cache");
     cli.integer("--admission-depth", "N", opts.admissionDepth,
@@ -85,14 +78,6 @@ main(int argc, char **argv)
         cli.fail("takes no positional arguments");
     if (!opts.target.valid())
         cli.fail("needs --socket PATH or --port N");
-
-    // Experiment requests read the environment for their artifact
-    // metadata; defaultJobs() clamps the jobs to [1, 1024].
-    setenv("CONTEST_TRACE_LEN", std::to_string(opts.traceLen).c_str(),
-           1);
-    setenv("CONTEST_SEED", std::to_string(opts.seed).c_str(), 1);
-    setenv("CONTEST_JOBS", std::to_string(jobs).c_str(), 1);
-    opts.jobs = defaultJobs();
 
     // The startup line carries the resolved (possibly ephemeral)
     // listen address, so it must be visible by default.

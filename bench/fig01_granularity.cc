@@ -27,9 +27,9 @@ runFig01(ExperimentContext &ctx)
     // Granularities in instructions (regions are 20 instructions).
     std::vector<std::uint64_t> grans{20,   80,    320,   1280,
                                      5120, 20480, 81920};
-    if (benchFastMode())
+    if (runner.settings().fast)
         grans = {20, 1280, 81920};
-    std::uint64_t whole = runner.traceLen();
+    std::uint64_t whole = runner.settings().traceLen;
     grans.push_back(whole);
 
     std::vector<std::string> head{"bench"};

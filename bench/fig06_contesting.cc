@@ -34,7 +34,7 @@ runFig06(ExperimentContext &ctx)
         Runner::PairChoice choice;
     };
     const auto benches = profileNames();
-    unsigned top = benchFastMode() ? 2 : 5;
+    unsigned top = runner.settings().fast ? 2 : 5;
     auto rows = runner.runParallel(benches.size(), [&](std::size_t i) {
         Row row;
         row.own = runner.single(benches[i], benches[i]).result.ipt;

@@ -38,7 +38,7 @@ runFig07(ExperimentContext &ctx)
     t.columns = {"bench", "pair", "full speedup", "L2-only speedup",
                  "L2-only share"};
 
-    unsigned top = benchFastMode() ? 2 : 5;
+    unsigned top = runner.settings().fast ? 2 : 5;
     std::vector<double> shares;
     for (const auto &bench : profileNames()) {
         double own = runner.single(bench, bench).result.ipt;

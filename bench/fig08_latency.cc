@@ -21,7 +21,7 @@ runFig08(ExperimentContext &ctx)
     std::vector<TimePs> latencies{TimePs{1'000}, TimePs{2'000},
                                   TimePs{5'000}, TimePs{10'000},
                                   TimePs{100'000}};
-    if (benchFastMode())
+    if (runner.settings().fast)
         latencies = {TimePs{1'000}, TimePs{10'000}, TimePs{100'000}};
 
     std::vector<std::string> head{"bench", "pair"};
@@ -32,7 +32,7 @@ runFig08(ExperimentContext &ctx)
                         "customized core at different GRB latencies");
     t.columns = head;
 
-    unsigned top = benchFastMode() ? 2 : 5;
+    unsigned top = runner.settings().fast ? 2 : 5;
     std::vector<double> avg(latencies.size(), 0.0);
     auto names = profileNames();
     for (const auto &bench : names) {

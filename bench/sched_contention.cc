@@ -41,7 +41,7 @@ runSchedContention(ExperimentContext &ctx)
     std::vector<Load> loads{{"light", 4'000'000.0},
                             {"medium", 1'200'000.0},
                             {"heavy", 700'000.0}};
-    if (benchFastMode())
+    if (runner.settings().fast)
         loads = {{"light", 4'000'000.0}, {"heavy", 700'000.0}};
 
     for (const auto &load : loads) {

@@ -22,7 +22,10 @@ main()
 
     // Short traces keep the example snappy; the bench binaries use
     // longer ones.
-    Runner runner(/*trace_len=*/60'000, /*seed=*/2009);
+    RunSettings settings;
+    settings.traceLen = 60'000;
+    ThreadPool pool(settings.jobs);
+    Runner runner(settings, &pool);
     std::printf("measuring the 11x11 benchmark-by-core IPT matrix "
                 "(121 simulations)...\n");
     const IptMatrix &m = runner.matrix();

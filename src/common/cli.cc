@@ -21,15 +21,19 @@ void
 CommandLine::add(const char *name, const char *metavar, const char *help,
                  Setter set)
 {
-    options.push_back(Option{name, metavar, help, std::move(set)});
+    options.push_back(Option{name, metavar, help, std::move(set), ""});
 }
 
 void
 CommandLine::flag(const char *name, bool &on, const char *help)
 {
-    add(name, "", help, [&on](const std::string &) {
-        on = true;
-        return std::string();
+    // The line passes no value; an environment variable passes one.
+    add(name, "", help, [&on](const std::string &v) {
+        std::uint64_t n = 1;
+        std::string why = v.empty() ? "" : parseInteger(v, 0, ~0ull, n);
+        if (why.empty())
+            on = n != 0;
+        return why;
     });
 }
 
@@ -80,6 +84,7 @@ CommandLine::Parsed
 CommandLine::parse(const std::vector<std::string> &args)
 {
     Parsed out;
+    std::vector<bool> given(options.size(), false);
     for (std::size_t i = 0; i < args.size(); ++i) {
         const std::string &arg = args[i];
         if (arg == "--help" || arg == "-h") {
@@ -118,6 +123,16 @@ CommandLine::parse(const std::vector<std::string> &args)
             out.error = name + " '" + value + "': " + why;
             return out;
         }
+        given[static_cast<std::size_t>(opt - options.begin())] = true;
+    }
+    for (std::size_t k = 0; k < options.size() && out.error.empty(); ++k) {
+        const std::string &var = options[k].variable;
+        const char *raw =
+            given[k] || var.empty() ? nullptr : std::getenv(var.c_str());
+        if (raw == nullptr || *raw == '\0')
+            continue;
+        if (const std::string why = options[k].set(raw); !why.empty())
+            out.error = var + " '" + raw + "': " + why;
     }
     return out;
 }
@@ -179,7 +194,9 @@ CommandLine::usage() const
             + text + '\n';
     };
     for (const Option &o : options)
-        line(label(o), o.help);
+        line(label(o), o.variable.empty()
+                           ? o.help
+                           : o.help + " [env: " + o.variable + "]");
     line(help_label, "print this usage and exit");
     return out;
 }

@@ -9,6 +9,8 @@
  * - options and positional arguments mix in any order;
  * - integers parse with parseU64 and numbers with parseNonNegative,
  *   each within the range its declaration gives;
+ * - an option may take its default from an environment variable
+ *   (defaultFrom()), whose value passes the same checks;
  * - `--help` or `-h` prints the usage on stdout and exits 0;
  * - every other mistake, the program's own checks after parsing
  *   included (fail()), prints `<program>: <what>` and the usage on
@@ -68,6 +70,14 @@ class CommandLine
                 const char *help,
                 double hi = std::numeric_limits<double>::max());
 
+    /** Let the environment variable @p variable, if set and not
+     *  empty, give the last declared option its default, under the
+     *  option's checks (a switch's is an integer, 0 for off). */
+    void defaultFrom(const char *variable)
+    {
+        options.back().variable = variable;
+    }
+
     /** What one command line holds. */
     struct Parsed
     {
@@ -78,6 +88,7 @@ class CommandLine
 
     /**
      * Parse @p args (argv after the program name) into the declared
+     * variables, then the options it left out from their environment
      * variables, stopping at `--help` or at the first mistake. Prints
      * nothing and never exits.
      */
@@ -110,6 +121,7 @@ class CommandLine
         std::string metavar; //!< empty for a switch
         std::string help;
         Setter set;
+        std::string variable; //!< the default's source, or empty
     };
 
     void add(const char *name, const char *metavar, const char *help,

@@ -5,8 +5,9 @@
 #include <cmath>
 #include <cstdlib>
 #include <string>
-#include <thread>
+#include <vector>
 
+#include "common/cli.hh"
 #include "common/log.hh"
 
 namespace contest
@@ -60,65 +61,40 @@ parseNonNegative(const char *text, double &value, const char **why)
     return true;
 }
 
-std::uint64_t
-envU64(const std::string &name, std::uint64_t def)
+void
+RunSettings::declare(CommandLine &cli)
 {
-    const char *raw = std::getenv(name.c_str());
-    if (raw == nullptr || *raw == '\0')
-        return def;
-
-    // Every malformed value warns and falls back to the default
-    // instead of smuggling a nonsense number into a knob like
-    // CONTEST_JOBS.
-    std::uint64_t v = def;
-    const char *why = nullptr;
-    if (!parseU64(raw, v, &why))
-        warn("ignoring malformed %s='%s' (%s); using default %llu",
-             name.c_str(), raw, why,
-             static_cast<unsigned long long>(def));
-    return v;
+    cli.integer("--trace-len", "N", traceLen,
+                "trace length, N >= 20", minTraceLen);
+    cli.defaultFrom("CONTEST_TRACE_LEN");
+    cli.integer("--seed", "N", seed, "workload generation seed");
+    cli.defaultFrom("CONTEST_SEED");
+    cli.flag("--fast", fast, "shrink sweeps for a quick run");
+    cli.defaultFrom("CONTEST_FAST");
+    cli.integer("--jobs", "N", jobs,
+                "simulations at once, 1-1024 (default: the\n"
+                "hardware concurrency)",
+                1, maxJobs);
+    cli.defaultFrom("CONTEST_JOBS");
 }
 
-bool
-envFlag(const std::string &name)
+RunSettings
+RunSettings::fromEnvironment()
 {
-    return envU64(name, 0) != 0;
-}
-
-std::uint64_t
-benchTraceLen()
-{
-    return envU64("CONTEST_TRACE_LEN", 400'000);
-}
-
-bool
-benchFastMode()
-{
-    return envFlag("CONTEST_FAST");
-}
-
-std::uint64_t
-benchSeed()
-{
-    return envU64("CONTEST_SEED", 2009);
+    RunSettings run;
+    CommandLine cli("contest", "");
+    run.declare(cli);
+    const std::string error = cli.parse(std::vector<std::string>()).error;
+    fatal_if(!error.empty(), "bad run setting: %s", error.c_str());
+    return run;
 }
 
 bool
 simNoSkip()
 {
-    return envFlag("CONTEST_NO_SKIP");
-}
-
-unsigned
-defaultJobs()
-{
-    unsigned hw = std::thread::hardware_concurrency();
-    std::uint64_t jobs = envU64("CONTEST_JOBS", hw > 0 ? hw : 1);
-    if (jobs < 1)
-        jobs = 1;
-    if (jobs > 1024)
-        jobs = 1024;
-    return static_cast<unsigned>(jobs);
+    const char *raw = std::getenv("CONTEST_NO_SKIP");
+    std::uint64_t on = 0;
+    return raw != nullptr && parseU64(raw, on) && on != 0;
 }
 
 } // namespace contest

@@ -1,35 +1,15 @@
 /**
  * @file
- * Environment-variable knobs shared by the bench binaries.
- *
- * CONTEST_TRACE_LEN — instructions per benchmark trace (default 400k).
- * CONTEST_FAST      — when set to a non-zero value, shrinks parameter
- *                     sweeps so the whole bench suite completes
- *                     quickly (used by CI-style runs).
- * CONTEST_SEED      — base seed for workload generation (default 2009,
- *                     the paper's publication year).
- * CONTEST_JOBS      — concurrency of the parallel experiment harness
- *                     (default: the hardware concurrency). 1 runs
- *                     everything serially. Results are bit-identical
- *                     for every value.
- * CONTEST_NO_SKIP   — when set to a non-zero value, disables the
- *                     idle-cycle fast-forward and steps every core
- *                     cycle-by-cycle. The reference mode for
- *                     debugging the event-driven scheduler; results
- *                     are bit-identical either way.
- *
- * All integer knobs parse strictly (parseU64): a malformed value
- * (trailing garbage, negative, overflow) warns and falls back to the
- * default. The command-line flags that set them (contest_bench's and
- * contest_serve's --trace-len, --seed and --jobs) reject a malformed
- * value with the usage instead.
+ * The settings of a run, the environment variables behind their
+ * defaults, and the strict number parsers every command line uses.
  */
 
 #ifndef CONTEST_COMMON_ENV_HH
 #define CONTEST_COMMON_ENV_HH
 
+#include <algorithm>
 #include <cstdint>
-#include <string>
+#include <thread>
 
 namespace contest
 {
@@ -54,33 +34,45 @@ bool parseU64(const char *text, std::uint64_t &value,
 bool parseNonNegative(const char *text, double &value,
                       const char **why = nullptr);
 
-/** Read an unsigned integer env var, falling back to a default. */
-std::uint64_t envU64(const std::string &name, std::uint64_t def);
-
-/** Read a boolean (non-zero integer) env var. */
-bool envFlag(const std::string &name);
-
-/** Instructions per benchmark trace for bench binaries. */
-std::uint64_t benchTraceLen();
-
-/** Whether to shrink sweeps for a quick run. */
-bool benchFastMode();
-
-/** Base seed for deterministic workload generation. */
-std::uint64_t benchSeed();
+class CommandLine;
 
 /**
- * Whether idle-cycle skipping is disabled (CONTEST_NO_SKIP). Read
- * at every run so tests can toggle the mode with setenv between
- * otherwise identical runs.
+ * What a run of the experiments depends on. declare() gives each
+ * field an option whose default is a CONTEST_* variable; the variable
+ * passes the option's checks, so a bad one is a usage error as a bad
+ * flag is (common/cli.hh). Results are bit-identical for any jobs.
+ */
+struct RunSettings
+{
+    /** The Runner's shortest trace: one RegionLog region. */
+    static constexpr std::uint64_t minTraceLen = 20;
+    static constexpr unsigned maxJobs = 1024;
+
+    /** --trace-len, CONTEST_TRACE_LEN: instructions per trace. */
+    std::uint64_t traceLen = 400'000;
+    /** --seed, CONTEST_SEED: workload seed, the paper's year. */
+    std::uint64_t seed = 2009;
+    /** --fast, CONTEST_FAST: shrink sweeps for a quick run. */
+    bool fast = false;
+    /** --jobs, CONTEST_JOBS: simulations at once. */
+    unsigned jobs = std::max(1u, std::thread::hardware_concurrency());
+
+    /** Declare the four options on @p cli, bound to these fields. */
+    void declare(CommandLine &cli);
+
+    /** The variables alone; fatal() on a bad one. Only what
+     *  perfbench/probe.cc calls still reads them this way. */
+    static RunSettings fromEnvironment();
+};
+
+/**
+ * Whether CONTEST_NO_SKIP, a non-zero integer, disables idle-cycle
+ * skipping: the reference mode for debugging the event-driven
+ * scheduler, which steps every core cycle by cycle. Results are
+ * bit-identical either way. Read at every run, so tests can toggle
+ * it between otherwise identical runs.
  */
 bool simNoSkip();
-
-/**
- * Concurrency for parallel experiment sweeps: CONTEST_JOBS, falling
- * back to the hardware concurrency. Always at least 1.
- */
-unsigned defaultJobs();
 
 } // namespace contest
 

@@ -164,7 +164,7 @@ ThreadPool::tryRunOneTask()
 ThreadPool &
 ThreadPool::global()
 {
-    static ThreadPool pool(defaultJobs());
+    static ThreadPool pool(RunSettings::fromEnvironment().jobs);
     return pool;
 }
 

@@ -80,8 +80,8 @@ class ThreadPool
     bool tryRunOneTask();
 
     /**
-     * The process-wide pool, sized from CONTEST_JOBS (default: the
-     * hardware concurrency) on first use.
+     * The process-wide pool, sized from CONTEST_JOBS on first use.
+     * Only perfbench/probe.cc still runs on it.
      */
     static ThreadPool &global();
 

@@ -6,7 +6,6 @@
 #include <fstream>
 #include <thread>
 
-#include "common/env.hh"
 #include "common/log.hh"
 #include "common/table.hh"
 
@@ -88,8 +87,9 @@ ArtifactTable::renderText() const
     return t.render();
 }
 
-ArtifactMeta
-currentArtifactMeta()
+ArtifactMeta::ArtifactMeta(const RunSettings &run)
+    : traceLen(run.traceLen), seed(run.seed), jobs(run.jobs),
+      fast(run.fast), cpus(std::thread::hardware_concurrency())
 {
     static const std::string git_describe = [] {
         std::string out;
@@ -105,15 +105,7 @@ currentArtifactMeta()
             out.pop_back();
         return out.empty() ? std::string("unknown") : out;
     }();
-
-    ArtifactMeta m;
-    m.traceLen = benchTraceLen();
-    m.seed = benchSeed();
-    m.jobs = defaultJobs();
-    m.fast = benchFastMode();
-    m.cpus = std::thread::hardware_concurrency();
-    m.git = git_describe;
-    return m;
+    git = git_describe;
 }
 
 ArtifactTable &

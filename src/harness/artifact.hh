@@ -18,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/env.hh"
 #include "common/json.hh"
 
 namespace contest
@@ -80,20 +81,22 @@ struct ArtifactMeta
     /** `git describe --always --dirty` of the producing tree;
      *  informational only (never compared). */
     std::string git;
-};
 
-/** The ArtifactMeta of this process (env knobs + git describe). */
-ArtifactMeta currentArtifactMeta();
+    ArtifactMeta() = default;
+    /** The meta of a run under @p run, on this host and tree. */
+    explicit ArtifactMeta(const RunSettings &run);
+};
 
 /** Structured output of one experiment. */
 struct FigureArtifact
 {
     FigureArtifact() = default;
     FigureArtifact(std::string experiment_name,
-                   std::string experiment_title)
+                   std::string experiment_title,
+                   ArtifactMeta run_meta = {})
         : name(std::move(experiment_name)),
           title(std::move(experiment_title)),
-          meta(currentArtifactMeta())
+          meta(std::move(run_meta))
     {}
 
     std::string name;  //!< registry name, e.g. "fig06"

@@ -45,11 +45,13 @@ struct ExperimentContext
     /** The experiment's own registration (artifact name/title). */
     const ExperimentInfo &info;
 
-    /** A fresh artifact named after this experiment. */
+    /** A fresh artifact named after this experiment, stamped with
+     *  the runner's settings. */
     FigureArtifact
     artifact() const
     {
-        return FigureArtifact(info.name, info.title);
+        return FigureArtifact(info.name, info.title,
+                              ArtifactMeta(runner.settings()));
     }
 };
 

@@ -62,15 +62,21 @@ diskStore(const ResultCache &disk, const std::string &key,
 
 } // namespace
 
-Runner::Runner(std::uint64_t trace_len, std::uint64_t seed,
-               ThreadPool *pool)
-    : len(trace_len), seed_(seed),
-      pool_(pool != nullptr ? pool : &ThreadPool::global())
+static_assert(RunSettings::minTraceLen == RegionLog::regionInsts);
+
+Runner::Runner(const RunSettings &settings, ThreadPool *pool)
+    : settings_(settings), pool_(pool)
 {
-    fatal_if(trace_len < RegionLog::regionInsts,
+    fatal_if(settings.traceLen < RegionLog::regionInsts,
              "Runner: trace length %llu too short",
-             static_cast<unsigned long long>(trace_len));
+             static_cast<unsigned long long>(settings.traceLen));
 }
+
+Runner::Runner(std::uint64_t trace_len, std::uint64_t seed)
+    : Runner({trace_len, seed, RunSettings::fromEnvironment().fast,
+              ThreadPool::global().jobs()},
+             &ThreadPool::global())
+{}
 
 TracePtr
 Runner::trace(const std::string &bench, std::uint64_t trace_len)
@@ -78,7 +84,7 @@ Runner::trace(const std::string &bench, std::uint64_t trace_len)
     const std::uint64_t use_len = useLen(trace_len);
     return traces.get(
         HashedKey(bench + '\x1f' + std::to_string(use_len)),
-        [&] { return makeBenchmarkTrace(bench, seed_, use_len); });
+        [&] { return makeBenchmarkTrace(bench, settings_.seed, use_len); });
 }
 
 template <typename T, typename Label, typename Simulate>
@@ -127,7 +133,7 @@ Runner::single(const std::string &bench, const CoreConfig &core,
     const std::uint64_t use_len = useLen(trace_len);
     return cached(
         singles, singleCounts, SimTimeline::Kind::Single,
-        ResultCache::singleRunKey(core, bench, seed_, use_len),
+        ResultCache::singleRunKey(core, bench, settings_.seed, use_len),
         [&] { return bench + '@' + core.name; },
         [&] {
             LoggedRun run;
@@ -151,7 +157,7 @@ Runner::contested(const std::string &bench,
     const std::uint64_t use_len = useLen(trace_len);
     return cached(
         contests, contestCounts, SimTimeline::Kind::Contest,
-        ResultCache::contestKey(bench, cores, config, seed_, use_len),
+        ResultCache::contestKey(bench, cores, config, settings_.seed, use_len),
         [&] { return contestLabel(bench, cores); },
         [&] {
             ContestSystem sys(cores, trace(bench, use_len), config);
@@ -165,7 +171,7 @@ Runner::singleIfReady(const std::string &bench, const CoreConfig &core,
                       std::uint64_t trace_len)
 {
     return singles.ifReady(HashedKey(ResultCache::singleRunKey(
-        core, bench, seed_, useLen(trace_len))));
+        core, bench, settings_.seed, useLen(trace_len))));
 }
 
 const ContestResult *
@@ -175,7 +181,7 @@ Runner::contestedIfReady(const std::string &bench,
                          std::uint64_t trace_len)
 {
     return contests.ifReady(HashedKey(ResultCache::contestKey(
-        bench, cores, config, seed_, useLen(trace_len))));
+        bench, cores, config, settings_.seed, useLen(trace_len))));
 }
 
 const ContestResult &

@@ -17,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/env.hh"
 #include "common/hash.hh"
 #include "common/thread_pool.hh"
 #include "contest/system.hh"
@@ -59,13 +60,18 @@ class Runner
 {
   public:
     /**
-     * @param trace_len instructions per benchmark trace
-     * @param seed workload generation seed
-     * @param pool thread pool for parallel sweeps (default: the
-     *        process-wide CONTEST_JOBS-sized pool)
+     * @param settings what the runs depend on, stamped on artifacts
+     * @param pool the pool of settings.jobs that sweeps fan out on
+     *        (not owned; must outlive the runner)
      */
-    Runner(std::uint64_t trace_len, std::uint64_t seed,
-           ThreadPool *pool = nullptr);
+    Runner(const RunSettings &settings, ThreadPool *pool);
+
+    /**
+     * @p trace_len and @p seed, with fast from CONTEST_FAST, on
+     * ThreadPool::global(). Its only caller is perfbench/probe.cc,
+     * which sets the variables; all else passes RunSettings.
+     */
+    Runner(std::uint64_t trace_len, std::uint64_t seed);
 
     /** The (cached) trace of a benchmark. @p trace_len overrides the
      *  runner's configured length; 0 means the configured one. */
@@ -177,8 +183,8 @@ class Runner
                                   const ContestConfig &config = {},
                                   unsigned simulate_top = 5);
 
-    /** Trace length in use. */
-    std::uint64_t traceLen() const { return len; }
+    /** What the runs depend on. */
+    const RunSettings &settings() const { return settings_; }
 
     /**
      * Attach a persistent result cache (not owned; must outlive the
@@ -323,11 +329,10 @@ class Runner
     std::uint64_t
     useLen(std::uint64_t trace_len) const
     {
-        return trace_len != 0 ? trace_len : len;
+        return trace_len != 0 ? trace_len : settings_.traceLen;
     }
 
-    std::uint64_t len;
-    std::uint64_t seed_;
+    RunSettings settings_;
     ThreadPool *pool_;
     ResultCache *disk = nullptr;
     SimTimeline *timeline_ = nullptr;

@@ -173,8 +173,7 @@ parseServeRequest(const JsonValue &doc, ServeRequest &out,
         out.kind = ServeRequest::Kind::Experiment;
         if (!stringField(doc, "name", out.experiment, error))
             return false;
-        // The registry is checked by the server (it owns the
-        // in-suite restriction), not here.
+        // The server looks the name up in the registry.
         return true;
     }
 

@@ -74,15 +74,13 @@ contestReply(const ServeRequest &req, const ContestResult &result)
 } // namespace
 
 ContestServer::ContestServer(ServeOptions options)
-    : opts(std::move(options)), pool(opts.jobs + 1)
+    : opts(std::move(options)), pool(opts.settings.jobs + 1),
+      runner_(opts.settings, &pool)
 {
     if (!opts.cacheDir.empty())
         cache = std::make_unique<ResultCache>(opts.cacheDir);
-    runner_ =
-        std::make_unique<Runner>(opts.traceLen, opts.seed, &pool);
-    if (cache)
-        runner_->setResultCache(cache.get());
-    runner_->setTimeline(&timeline);
+    runner_.setResultCache(cache.get());
+    runner_.setTimeline(&timeline);
 }
 
 ContestServer::~ContestServer()
@@ -106,10 +104,11 @@ ContestServer::start(std::string *error)
         return false;
     if (!opts.quiet)
         inform("contest_serve listening on %s (jobs %u, trace_len "
-               "%llu, seed %llu, cache %s)",
-               opts.target.describe().c_str(), opts.jobs,
-               static_cast<unsigned long long>(opts.traceLen),
-               static_cast<unsigned long long>(opts.seed),
+               "%llu, seed %llu%s, cache %s)",
+               opts.target.describe().c_str(), opts.settings.jobs,
+               static_cast<unsigned long long>(opts.settings.traceLen),
+               static_cast<unsigned long long>(opts.settings.seed),
+               opts.settings.fast ? ", fast" : "",
                cache ? opts.cacheDir.c_str() : "off");
     started = true;
     acceptThread = std::thread([this] { acceptLoop(); });
@@ -345,13 +344,13 @@ ContestServer::answerIfReady(const ConnPtr &conn,
     const auto startedAt = SimTimeline::now();
     JsonValue resp;
     if (req.kind == ServeRequest::Kind::Single) {
-        const LoggedRun *run = runner_->singleIfReady(
+        const LoggedRun *run = runner_.singleIfReady(
             req.bench, coreConfigByName(req.core));
         if (run == nullptr)
             return false;
         resp = singleReply(req, *run);
     } else {
-        const ContestResult *result = runner_->contestedIfReady(
+        const ContestResult *result = runner_.contestedIfReady(
             req.bench, coreConfigs(req), ContestConfig{},
             req.traceLenOverride);
         if (result == nullptr)
@@ -405,12 +404,12 @@ ContestServer::execute(const Job &job)
     switch (req.kind) {
       case ServeRequest::Kind::Single:
         resp = singleReply(
-            req, runner_->single(req.bench, coreConfigByName(req.core),
+            req, runner_.single(req.bench, coreConfigByName(req.core),
                                  0, &materialized));
         break;
       case ServeRequest::Kind::Contest:
         resp = contestReply(
-            req, runner_->contested(req.bench, coreConfigs(req),
+            req, runner_.contested(req.bench, coreConfigs(req),
                                     ContestConfig{},
                                     req.traceLenOverride,
                                     &materialized));
@@ -427,7 +426,7 @@ ContestServer::execute(const Job &job)
             return;
         }
         ArtifactSink sink("", false);
-        ExperimentContext ctx{*runner_, sink, *info};
+        ExperimentContext ctx{runner_, sink, *info};
         info->fn(ctx);
         JsonValue artifacts = JsonValue::array();
         for (const FigureArtifact &a : sink.emitted())
@@ -471,12 +470,12 @@ ContestServer::statsJson(const ServeRequest &req)
 {
     JsonValue resp = serveOkResponse(req);
     JsonValue server = JsonValue::object();
-    server.set("jobs", JsonValue::number(opts.jobs));
-    server.set("trace_len",
-               JsonValue::number(
-                   static_cast<double>(opts.traceLen)));
+    server.set("jobs", JsonValue::number(opts.settings.jobs));
+    server.set("trace_len", JsonValue::number(static_cast<double>(
+                                opts.settings.traceLen)));
     server.set("seed", JsonValue::number(
-                           static_cast<double>(opts.seed)));
+                           static_cast<double>(opts.settings.seed)));
+    server.set("fast", JsonValue::boolean(opts.settings.fast));
     server.set("draining", JsonValue::boolean(draining.load()));
     {
         std::lock_guard<std::mutex> lock(inFlightMu);
@@ -511,15 +510,15 @@ ContestServer::statsJson(const ServeRequest &req)
     JsonValue sims = JsonValue::object();
     sims.set("singles_executed",
              JsonValue::number(static_cast<double>(
-                 runner_->simulationsPerformed())));
+                 runner_.simulationsPerformed())));
     sims.set("contests_executed",
              JsonValue::number(static_cast<double>(
-                 runner_->contestsPerformed())));
+                 runner_.contestsPerformed())));
     sims.set("disk_hits", JsonValue::number(static_cast<double>(
-                              runner_->diskHits())));
+                              runner_.diskHits())));
     sims.set("contest_disk_hits",
              JsonValue::number(static_cast<double>(
-                 runner_->contestDiskHits())));
+                 runner_.contestDiskHits())));
     server.set("sims", std::move(sims));
 
     if (cache) {

@@ -66,12 +66,8 @@ struct ServeOptions
     /** Where to listen (unix path, or loopback TCP; port 0 binds an
      *  ephemeral port readable from target() after start). */
     ServeTarget target;
-    /** Simulation workers (the `--jobs` budget). */
-    unsigned jobs = 1;
-    /** Instructions per synthetic benchmark trace. */
-    std::uint64_t traceLen = 400'000;
-    /** Workload generation seed. */
-    std::uint64_t seed = 2009;
+    /** What every request runs under; jobs counts the workers. */
+    RunSettings settings;
     /** Persistent result-cache directory; empty disables it. */
     std::string cacheDir;
     /** Most simulation jobs in flight at once, queued plus
@@ -117,7 +113,7 @@ class ContestServer
 
     /** The shared runner (exposed so in-process harnesses can check
      *  simulation counters without a stats round-trip). */
-    Runner &runner() { return *runner_; }
+    Runner &runner() { return runner_; }
 
   private:
     /** One client connection. open flips false on read error, EOF,
@@ -165,13 +161,13 @@ class ContestServer
     void drainAndStop();
 
     ServeOptions opts;
-    /** opts.jobs + 1: the pool counts a calling thread that runs
+    /** settings.jobs + 1: the pool counts a calling thread that runs
      *  tasks beside its workers, and the server never donates one,
-     *  so this leaves opts.jobs worker threads. */
+     *  so this leaves settings.jobs worker threads. */
     ThreadPool pool;
     std::unique_ptr<ResultCache> cache;
     SimTimeline timeline;
-    std::unique_ptr<Runner> runner_;
+    Runner runner_;
 
     int listenFd = -1;
     int wakePipe[2] = {-1, -1};

@@ -288,53 +288,10 @@ TEST(TextTable, FormattersRound)
     EXPECT_EQ(TextTable::pct(-0.05, 1), "-5.0%");
 }
 
-TEST(Env, ReadsAndDefaults)
-{
-    ::setenv("CONTEST_TEST_ENV_U64", "1234", 1);
-    EXPECT_EQ(envU64("CONTEST_TEST_ENV_U64", 7), 1234u);
-    EXPECT_EQ(envU64("CONTEST_TEST_ENV_MISSING", 7), 7u);
-    ::setenv("CONTEST_TEST_ENV_FLAG", "1", 1);
-    EXPECT_TRUE(envFlag("CONTEST_TEST_ENV_FLAG"));
-    ::setenv("CONTEST_TEST_ENV_FLAG", "0", 1);
-    EXPECT_FALSE(envFlag("CONTEST_TEST_ENV_FLAG"));
-    ::unsetenv("CONTEST_TEST_ENV_U64");
-    ::unsetenv("CONTEST_TEST_ENV_FLAG");
-}
-
-TEST(Env, MalformedValuesWarnAndFallBack)
-{
-    // Every malformed shape strtoull would mis-handle silently must
-    // instead keep the caller's default: trailing garbage, negative
-    // values (which strtoull wraps to 2^64-1), non-numbers, values
-    // past 2^64-1 (which strtoull saturates), and pure whitespace.
-    const char *name = "CONTEST_TEST_ENV_BAD";
-    for (const char *bad :
-         {"4abc", "12 8", "-1", "-0", "abc", "0x10", "3.5",
-          "99999999999999999999", "  ", "+"}) {
-        ::setenv(name, bad, 1);
-        EXPECT_EQ(envU64(name, 7), 7u) << "value '" << bad << "'";
-    }
-
-    // Leading whitespace around a clean number is still accepted.
-    ::setenv(name, "  42", 1);
-    EXPECT_EQ(envU64(name, 7), 42u);
-
-    // The extremes of the valid range parse exactly.
-    ::setenv(name, "18446744073709551615", 1);
-    EXPECT_EQ(envU64(name, 7), 18446744073709551615ull);
-    ::setenv(name, "0", 1);
-    EXPECT_EQ(envU64(name, 7), 0u);
-
-    // envFlag shares the parser: garbage is "unset", not "truthy".
-    ::setenv(name, "yes", 1);
-    EXPECT_FALSE(envFlag(name));
-    ::unsetenv(name);
-}
-
 TEST(Env, ParseU64NamesWhatIsWrong)
 {
-    // The parser behind envU64, also used for command-line values:
-    // a rejected value leaves the output untouched and says why.
+    // The parser behind every integer option and its variable: a
+    // rejected value leaves the output untouched and says why.
     const std::pair<const char *, const char *> bad[] = {
         {"", "not a number"},         {"+", "not a number"},
         {"-0", "negative"},           {"70000 ", "trailing garbage"},
@@ -349,6 +306,11 @@ TEST(Env, ParseU64NamesWhatIsWrong)
     std::uint64_t v = 7;
     EXPECT_TRUE(parseU64(" 65536", v));
     EXPECT_EQ(v, 65536u);
+    // The extremes of the valid range parse exactly.
+    EXPECT_TRUE(parseU64("18446744073709551615", v));
+    EXPECT_EQ(v, 18446744073709551615ull);
+    EXPECT_TRUE(parseU64("0", v));
+    EXPECT_EQ(v, 0u);
 }
 
 TEST(Env, ParseNonNegativeNamesWhatIsWrong)
@@ -388,8 +350,10 @@ struct Cli
     Cli()
     {
         cli.flag("--fast", fast, "shrink sweeps");
+        cli.defaultFrom("CONTEST_TEST_FAST");
         cli.text("--out-dir", "DIR", dir, "where artifacts go");
         cli.integer("--trace-len", "N", len, "instructions", 20);
+        cli.defaultFrom("CONTEST_TEST_LEN");
         cli.integer("--phases", "N", phases, "phases", 1);
         cli.integer("--clients", "N", clients, "connections", 1, 1024);
         cli.number("--rate", "F", rate, "a fraction", 1.0);
@@ -495,6 +459,114 @@ TEST(CommandLine, HelpStopsTheParse)
     EXPECT_EQ(p.error, "--bogus: unknown option");
 }
 
+TEST(CommandLine, AVariableGivesTheDefaultAndAFlagOverridesIt)
+{
+    ::setenv("CONTEST_TEST_LEN", "5000", 1);
+    ::setenv("CONTEST_TEST_FAST", "1", 1);
+    Cli fromEnv;
+    EXPECT_EQ(fromEnv.parse({}).error, "");
+    EXPECT_EQ(fromEnv.len, 5000u);
+    EXPECT_TRUE(fromEnv.fast);
+
+    Cli fromLine;
+    EXPECT_EQ(fromLine.parse({"--trace-len=40000"}).error, "");
+    EXPECT_EQ(fromLine.len, 40000u);
+
+    // 0 leaves a switch off, and an empty variable counts as unset.
+    ::setenv("CONTEST_TEST_FAST", "0", 1);
+    ::setenv("CONTEST_TEST_LEN", "", 1);
+    Cli off;
+    EXPECT_EQ(off.parse({}).error, "");
+    EXPECT_FALSE(off.fast);
+    EXPECT_EQ(off.len, 400'000u);
+    ::unsetenv("CONTEST_TEST_LEN");
+    ::unsetenv("CONTEST_TEST_FAST");
+}
+
+TEST(CommandLine, RefusesABadVariableByName)
+{
+    // Every shape strtoull would mis-handle silently (trailing
+    // garbage, a sign, no digits, overflow, blanks), and a value
+    // outside the option's range, is a mistake named after the
+    // variable, and the default stays.
+    for (const char *bad :
+         {"4abc", "12 8", "-1", "-0", "abc", "0x10", "3.5",
+          "99999999999999999999", "  ", "+", "19"}) {
+        ::setenv("CONTEST_TEST_LEN", bad, 1);
+        Cli c;
+        const std::string error = c.parse({}).error;
+        EXPECT_EQ(error.rfind(std::string("CONTEST_TEST_LEN '") + bad
+                                  + "': ",
+                              0),
+                  0u)
+            << error;
+        EXPECT_EQ(c.len, 400'000u) << bad;
+        // A flag on the line leaves the variable unread.
+        Cli flagged;
+        EXPECT_EQ(flagged.parse({"--trace-len", "42"}).error, "");
+    }
+    // Leading blanks before a clean number are still accepted.
+    ::setenv("CONTEST_TEST_LEN", "  42", 1);
+    Cli c;
+    EXPECT_EQ(c.parse({}).error, "");
+    EXPECT_EQ(c.len, 42u);
+    ::unsetenv("CONTEST_TEST_LEN");
+
+    // A switch's variable is an integer: "yes" is not "on".
+    ::setenv("CONTEST_TEST_FAST", "yes", 1);
+    Cli yes;
+    EXPECT_EQ(yes.parse({}).error, "CONTEST_TEST_FAST 'yes': not a number");
+    EXPECT_FALSE(yes.fast);
+    ::unsetenv("CONTEST_TEST_FAST");
+}
+
+TEST(CommandLine, RunSettingsDefaultToTheirVariables)
+{
+    auto parse = [](RunSettings &run, std::vector<std::string> args) {
+        CommandLine cli("prog", "[options]");
+        run.declare(cli);
+        return cli.parse(args).error;
+    };
+    for (const char *var :
+         {"CONTEST_TRACE_LEN", "CONTEST_SEED", "CONTEST_FAST", "CONTEST_JOBS"})
+        ::unsetenv(var);
+    RunSettings plain;
+    EXPECT_EQ(parse(plain, {}), "");
+    EXPECT_EQ(plain.traceLen, 400'000u);
+    EXPECT_EQ(plain.seed, 2009u);
+    EXPECT_FALSE(plain.fast);
+    EXPECT_GE(plain.jobs, 1u);
+
+    ::setenv("CONTEST_JOBS", "3", 1);
+    ::setenv("CONTEST_FAST", "1", 1);
+    RunSettings fromEnv;
+    EXPECT_EQ(parse(fromEnv, {"--seed", "7"}), "");
+    EXPECT_EQ(fromEnv.jobs, 3u);
+    EXPECT_TRUE(fromEnv.fast);
+    EXPECT_EQ(fromEnv.seed, 7u);
+    RunSettings flagged;
+    EXPECT_EQ(parse(flagged, {"--jobs", "2"}), "");
+    EXPECT_EQ(flagged.jobs, 2u);
+    const RunSettings probe = RunSettings::fromEnvironment();
+    EXPECT_EQ(probe.jobs, 3u);
+    EXPECT_TRUE(probe.fast);
+
+    // Jobs outside [1, 1024] and a trace shorter than one region are
+    // usage errors, from a variable as from a flag.
+    ::setenv("CONTEST_JOBS", "0", 1);
+    RunSettings bad;
+    EXPECT_EQ(parse(bad, {}), "CONTEST_JOBS '0': below 1");
+    ::setenv("CONTEST_JOBS", "abc", 1);
+    EXPECT_EQ(parse(bad, {}), "CONTEST_JOBS 'abc': not a number");
+    ::unsetenv("CONTEST_JOBS");
+    ::unsetenv("CONTEST_FAST");
+    EXPECT_EQ(parse(bad, {"--jobs", "0"}), "--jobs '0': below 1");
+    EXPECT_EQ(parse(bad, {"--jobs", "1025"}), "--jobs '1025': above 1024");
+    ::setenv("CONTEST_TRACE_LEN", "5", 1);
+    EXPECT_EQ(parse(bad, {}), "CONTEST_TRACE_LEN '5': below 20");
+    ::unsetenv("CONTEST_TRACE_LEN");
+}
+
 TEST(CommandLine, BuildsTheUsageFromTheDeclarations)
 {
     bool quiet = false;
@@ -502,6 +574,7 @@ TEST(CommandLine, BuildsTheUsageFromTheDeclarations)
     CommandLine cli("prog", "run <name> [options]\nlist", "Runs things.");
     cli.flag("--quiet", quiet, "say less");
     cli.integer("--count", "N", count, "how many,\nat least 1", 1);
+    cli.defaultFrom("PROG_COUNT");
     EXPECT_EQ(cli.usage(), "usage: prog run <name> [options]\n"
                            "       prog list\n"
                            "\n"
@@ -509,7 +582,7 @@ TEST(CommandLine, BuildsTheUsageFromTheDeclarations)
                            "\n"
                            "  --quiet     say less\n"
                            "  --count N   how many,\n"
-                           "              at least 1\n"
+                           "              at least 1 [env: PROG_COUNT]\n"
                            "  -h, --help  print this usage and exit\n");
 }
 

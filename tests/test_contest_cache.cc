@@ -278,8 +278,9 @@ TEST_F(ContestCacheTest, DigestCollisionDegradesToMiss)
 
 TEST_F(ContestCacheTest, RunnerWarmRerunSkipsContestSimulation)
 {
+    ThreadPool pool(1);
     ResultCache cold_cache(dir);
-    Runner cold(4000, 11);
+    Runner cold({4000, 11}, &pool);
     cold.setResultCache(&cold_cache);
     const ContestResult &first =
         cold.contestedPair("gcc", "gcc", "twolf");
@@ -296,7 +297,7 @@ TEST_F(ContestCacheTest, RunnerWarmRerunSkipsContestSimulation)
     // the same parameters starts warm: zero contested simulations,
     // and the restored result is bit-identical.
     ResultCache warm_cache(dir);
-    Runner warm(4000, 11);
+    Runner warm({4000, 11}, &pool);
     warm.setResultCache(&warm_cache);
     const ContestResult &restored =
         warm.contestedPair("gcc", "gcc", "twolf");
@@ -316,7 +317,7 @@ TEST_F(ContestCacheTest, RunnerWarmRerunSkipsContestSimulation)
 
     // Different seed, different entries: back to simulating.
     ResultCache other_cache(dir);
-    Runner other(4000, 12);
+    Runner other({4000, 12}, &pool);
     other.setResultCache(&other_cache);
     other.contestedPair("gcc", "gcc", "twolf");
     EXPECT_EQ(other.contestsPerformed(), 1u);
@@ -324,7 +325,7 @@ TEST_F(ContestCacheTest, RunnerWarmRerunSkipsContestSimulation)
 
     // A trace-length override is part of the key too.
     ResultCache short_cache(dir);
-    Runner short_runner(4000, 11);
+    Runner short_runner({4000, 11}, &pool);
     short_runner.setResultCache(&short_cache);
     short_runner.contested("gcc", gccTwolf(), ContestConfig{}, 2000);
     EXPECT_EQ(short_runner.contestsPerformed(), 1u);

@@ -53,7 +53,8 @@ TEST(Fusion, HandlesUnequalLengths)
 
 TEST(Runner, CachesSingleRuns)
 {
-    Runner runner(8000, 1);
+    ThreadPool pool(1);
+    Runner runner({8000, 1}, &pool);
     const auto &first = runner.single("vpr", "vpr");
     const auto &again = runner.single("vpr", "vpr");
     EXPECT_EQ(&first, &again);
@@ -63,7 +64,8 @@ TEST(Runner, CachesSingleRuns)
 
 TEST(Runner, TraceIsSharedAcrossRuns)
 {
-    Runner runner(5000, 2);
+    ThreadPool pool(1);
+    Runner runner({5000, 2}, &pool);
     auto t1 = runner.trace("gcc");
     auto t2 = runner.trace("gcc");
     EXPECT_EQ(t1.get(), t2.get());
@@ -72,7 +74,8 @@ TEST(Runner, TraceIsSharedAcrossRuns)
 
 TEST(Runner, MatrixCoversAllBenchmarksAndCores)
 {
-    Runner runner(4000, 3);
+    ThreadPool pool(4);
+    Runner runner({4000, 3}, &pool);
     const auto &m = runner.matrix();
     EXPECT_EQ(m.numBenches(), 11u);
     EXPECT_EQ(m.numCores(), 11u);
@@ -83,7 +86,8 @@ TEST(Runner, MatrixCoversAllBenchmarksAndCores)
 
 TEST(Runner, RegionLogTotalsMatchRunTime)
 {
-    Runner runner(8000, 4);
+    ThreadPool pool(1);
+    Runner runner({8000, 4}, &pool);
     const auto &run = runner.single("twolf", "twolf");
     // The region log accounts for every closed region; its total
     // cannot exceed the run time and must cover most of it.
@@ -93,7 +97,8 @@ TEST(Runner, RegionLogTotalsMatchRunTime)
 
 TEST(Runner, ContestedPairRuns)
 {
-    Runner runner(8000, 5);
+    ThreadPool pool(1);
+    Runner runner({8000, 5}, &pool);
     auto r = runner.contestedPair("gcc", "twolf", "gzip");
     EXPECT_GT(r.ipt, 0.0);
     EXPECT_EQ(r.coreStats.size(), 2u);
@@ -101,7 +106,8 @@ TEST(Runner, ContestedPairRuns)
 
 TEST(Runner, IfReadyProbesSeeOnlyFinishedResults)
 {
-    Runner runner(8000, 7);
+    ThreadPool pool(1);
+    Runner runner({8000, 7}, &pool);
     const CoreConfig &gcc = coreConfigByName("gcc");
     const std::vector<CoreConfig> pair = {gcc, coreConfigByName("twolf")};
     EXPECT_EQ(runner.singleIfReady("gcc", gcc), nullptr);
@@ -153,8 +159,8 @@ TEST(Runner, MatrixIsIdenticalForAnyJobCount)
     // compare exactly equal (not merely close) to the serial run.
     ThreadPool serial_pool(1);
     ThreadPool parallel_pool(4);
-    Runner serial(4000, 3, &serial_pool);
-    Runner parallel(4000, 3, &parallel_pool);
+    Runner serial({4000, 3}, &serial_pool);
+    Runner parallel({4000, 3}, &parallel_pool);
     const auto &ms = serial.matrix();
     const auto &mp = parallel.matrix();
     ASSERT_EQ(ms.numBenches(), mp.numBenches());
@@ -170,11 +176,11 @@ TEST(Runner, MatrixIsIdenticalForAnyJobCount)
 TEST(Runner, RunParallelStaysOnTheRunnersPool)
 {
     // A daemon gives its Runner the daemon's own pool, and an
-    // experiment's fan-out must run there, not on the process-wide
-    // pool. Over a one-job pool that means every index on the
-    // calling thread, in index order.
+    // experiment's fan-out must run there, not on another pool.
+    // Over a one-job pool that means every index on the calling
+    // thread, in index order.
     ThreadPool pool(1);
-    Runner runner(4000, 3, &pool);
+    Runner runner({4000, 3}, &pool);
     const auto caller = std::this_thread::get_id();
     std::vector<std::size_t> order;
     auto out = runner.runParallel(5, [&](std::size_t i) {
@@ -190,8 +196,8 @@ TEST(Runner, BestContestingPairIsIdenticalForAnyJobCount)
 {
     ThreadPool serial_pool(1);
     ThreadPool parallel_pool(4);
-    Runner serial(8000, 6, &serial_pool);
-    Runner parallel(8000, 6, &parallel_pool);
+    Runner serial({8000, 6}, &serial_pool);
+    Runner parallel({8000, 6}, &parallel_pool);
     auto cs = serial.bestContestingPair("gcc", {}, 3);
     auto cp = parallel.bestContestingPair("gcc", {}, 3);
     EXPECT_EQ(cs.coreA, cp.coreA);
@@ -201,7 +207,8 @@ TEST(Runner, BestContestingPairIsIdenticalForAnyJobCount)
 
 TEST(Runner, BestContestingPairBeatsOwnCore)
 {
-    Runner runner(20000, 6);
+    ThreadPool pool(4);
+    Runner runner({20000, 6}, &pool);
     auto choice = runner.bestContestingPair("gcc", {}, 3);
     EXPECT_FALSE(choice.coreA.empty());
     EXPECT_FALSE(choice.coreB.empty());

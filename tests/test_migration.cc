@@ -69,7 +69,8 @@ TEST(Migration, HistoryLagsOneBlock)
 
 TEST(Migration, CoarserBlocksReduceOpportunity)
 {
-    Runner runner(40000, 11);
+    ThreadPool pool(1);
+    Runner runner({40000, 11}, &pool);
     const auto &ra = runner.single("twolf", "twolf");
     const auto &rb = runner.single("twolf", "vpr");
     MigrationConfig fine;

@@ -104,7 +104,8 @@ TEST(Registry, SecondExperimentReusesRunnerCache)
     // One process, one Runner, two experiments: the suite driver's
     // whole reason to exist. The second experiment re-requests the
     // first one's (bench, core) cell, which must be a pure cache hit.
-    Runner runner(4000, 9);
+    ThreadPool pool(1);
+    Runner runner({4000, 9}, &pool);
     ArtifactSink sink("", /*echo=*/false);
     auto &reg = ExperimentRegistry::instance();
 
@@ -132,6 +133,24 @@ TEST(Registry, SecondExperimentReusesRunnerCache)
     // Both experiments measured the identical memoized result.
     EXPECT_EQ(sink.emitted()[0].scalars[0].second,
               sink.emitted()[1].scalars[0].second);
+}
+
+TEST(Registry, ArtifactsCarryTheRunnersSettings)
+{
+    // The settings stamped on an artifact are the ones its runner
+    // ran, whatever the process environment holds.
+    ThreadPool pool(1);
+    Runner runner({4000, 9, /*fast=*/true, /*jobs=*/1}, &pool);
+    ArtifactSink sink("", /*echo=*/false);
+    const ExperimentInfo *first =
+        ExperimentRegistry::instance().find("zz_test_first");
+    ASSERT_NE(first, nullptr);
+    const ArtifactMeta meta =
+        ExperimentContext{runner, sink, *first}.artifact().meta;
+    EXPECT_EQ(meta.traceLen, 4000u);
+    EXPECT_EQ(meta.seed, 9u);
+    EXPECT_TRUE(meta.fast);
+    EXPECT_EQ(meta.jobs, 1u);
 }
 
 /**
@@ -199,7 +218,7 @@ class SchedulerTest : public ::testing::Test
     runSuite(ThreadPool &pool)
     {
         state.pool = &pool;
-        Runner runner(4000, 9, &pool);
+        Runner runner({4000, 9}, &pool);
         ArtifactSink sink("", /*echo=*/false);
         std::vector<const ExperimentInfo *> to_run{&infos[0], &infos[1],
                                                    &infos[2]};

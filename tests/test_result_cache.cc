@@ -224,8 +224,9 @@ TEST_F(ResultCacheTest, DigestCollisionDegradesToMiss)
 
 TEST_F(ResultCacheTest, RunnerWarmStartSkipsSimulation)
 {
+    ThreadPool pool(1);
     ResultCache cold_cache(dir);
-    Runner cold(4000, 11);
+    Runner cold({4000, 11}, &pool);
     cold.setResultCache(&cold_cache);
     const auto &first = cold.single("gcc", "gcc");
     EXPECT_EQ(cold.simulationsPerformed(), 1u);
@@ -236,7 +237,7 @@ TEST_F(ResultCacheTest, RunnerWarmStartSkipsSimulation)
     // the same trace parameters starts warm: zero simulations, and
     // the restored result is bit-identical, region series included.
     ResultCache warm_cache(dir);
-    Runner warm(4000, 11);
+    Runner warm({4000, 11}, &pool);
     warm.setResultCache(&warm_cache);
     const auto &restored = warm.single("gcc", "gcc");
     EXPECT_EQ(warm.simulationsPerformed(), 0u);
@@ -249,7 +250,7 @@ TEST_F(ResultCacheTest, RunnerWarmStartSkipsSimulation)
 
     // Different trace parameters must not hit the same entries.
     ResultCache other_cache(dir);
-    Runner other(4000, 12);
+    Runner other({4000, 12}, &pool);
     other.setResultCache(&other_cache);
     other.single("gcc", "gcc");
     EXPECT_EQ(other.simulationsPerformed(), 1u);

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "core/palette.hh"
+#include "harness/registry.hh"
 #include "serve/client.hh"
 #include "serve/frame.hh"
 #include "serve/protocol.hh"
@@ -46,9 +47,7 @@ testOptions(const char *tag, unsigned jobs)
 {
     ServeOptions opts;
     opts.target.unixPath = uniqueSocketPath(tag);
-    opts.jobs = jobs;
-    opts.traceLen = 4000;
-    opts.seed = 99;
+    opts.settings = {4000, 99, /*fast=*/false, jobs};
     opts.quiet = true;
     return opts;
 }
@@ -303,6 +302,8 @@ TEST(ServeServer, AnswersPingStatsAndDrainsOnShutdown)
     const JsonValue *stats = resp.find("server");
     ASSERT_NE(stats, nullptr);
     EXPECT_EQ(stats->at("jobs").asNumber(), 2.0);
+    EXPECT_EQ(stats->at("trace_len").asNumber(), 4000.0);
+    EXPECT_FALSE(stats->at("fast").asBool());
     EXPECT_FALSE(stats->at("draining").asBool());
 
     ASSERT_TRUE(client.call(request("shutdown", 3), resp, &error))
@@ -339,6 +340,60 @@ TEST(ServeServer, RunsSinglesAndMarksRepeatsWarm)
     EXPECT_TRUE(resp.at("timing").at("warm").asBool());
     EXPECT_EQ(resp.at("time_ps").asNumber(), coldPs);
     EXPECT_EQ(server.runner().simulationsPerformed(), 1u);
+
+    server.requestShutdown();
+    server.waitUntilStopped();
+    ::unlink(server.target().unixPath.c_str());
+}
+
+/** A registered experiment for the daemon to serve: one artifact
+ *  with one single-core result. */
+void
+serveToyExperiment(ExperimentContext &ctx)
+{
+    FigureArtifact art = ctx.artifact();
+    art.scalar("gcc_ipt", ctx.runner.single("gcc", "gcc").result.ipt);
+    ctx.sink.emit(art);
+}
+
+REGISTER_EXPERIMENT("zz_serve_toy", "Serve toy", serveToyExperiment);
+
+TEST(ServeServer, RunsExperimentsUnderItsSettings)
+{
+    ServeOptions opts = testOptions("experiment", 2);
+    opts.settings.fast = true;
+    ContestServer server(opts);
+    std::string error;
+    ASSERT_TRUE(server.start(&error)) << error;
+
+    ServeClient client;
+    ASSERT_TRUE(client.connect(server.target(), &error)) << error;
+    JsonValue req = request("experiment", 1);
+    req.set("name", JsonValue::str("zz_serve_toy"));
+    JsonValue resp;
+    ASSERT_TRUE(client.call(req, resp, &error)) << error;
+    ASSERT_TRUE(okFlag(resp)) << errorText(resp);
+    const JsonValue &artifacts = resp.at("artifacts");
+    ASSERT_EQ(artifacts.size(), 1u);
+    const FigureArtifact art =
+        FigureArtifact::fromJson(artifacts.elements()[0], &error);
+    ASSERT_TRUE(error.empty()) << error;
+    EXPECT_EQ(art.name, "zz_serve_toy");
+    EXPECT_EQ(art.meta.traceLen, opts.settings.traceLen);
+    EXPECT_EQ(art.meta.seed, opts.settings.seed);
+    EXPECT_EQ(art.meta.fast, opts.settings.fast);
+    EXPECT_EQ(art.meta.jobs, opts.settings.jobs);
+    EXPECT_EQ(server.runner().simulationsPerformed(), 1u);
+
+    ASSERT_TRUE(client.call(request("stats", 2), resp, &error)) << error;
+    EXPECT_TRUE(resp.at("server").at("fast").asBool());
+
+    req.set("name", JsonValue::str("no_such_experiment"));
+    ASSERT_TRUE(client.call(req, resp, &error)) << error;
+    EXPECT_FALSE(okFlag(resp));
+    EXPECT_NE(errorText(resp).find("unknown experiment 'no_such_"),
+              std::string::npos)
+        << errorText(resp);
 
     server.requestShutdown();
     server.waitUntilStopped();

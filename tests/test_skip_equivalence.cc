@@ -139,7 +139,8 @@ TEST(SkipEquivalence, RunnerSingleAndRegionSeries)
         // A fresh Runner per mode, or the memo would answer the
         // second mode with the first one's run.
         auto run = [&]() -> LoggedRun {
-            Runner runner(15000, 2009);
+            ThreadPool pool(1);
+            Runner runner({15000, 2009}, &pool);
             return runner.single(bench, core);
         };
         LoggedRun fast = withSkipMode(false, run);

@@ -7,10 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <vector>
 
-#include "common/env.hh"
 #include "common/thread_pool.hh"
 
 namespace contest
@@ -74,16 +72,6 @@ TEST(ThreadPool, ReusableAcrossBatches)
         pool.parallelFor(round, [&](std::size_t) { n.fetch_add(1); });
         EXPECT_EQ(n.load(), round);
     }
-}
-
-TEST(Env, DefaultJobsHonorsEnvironment)
-{
-    setenv("CONTEST_JOBS", "3", 1);
-    EXPECT_EQ(defaultJobs(), 3u);
-    setenv("CONTEST_JOBS", "0", 1);
-    EXPECT_EQ(defaultJobs(), 1u); // clamped to at least one
-    unsetenv("CONTEST_JOBS");
-    EXPECT_GE(defaultJobs(), 1u);
 }
 
 } // namespace

@@ -12,7 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -33,7 +32,8 @@ namespace
 namespace fs = std::filesystem;
 
 constexpr std::uint64_t kTraceLen = 4000;
-constexpr std::uint64_t kSeed = 2009;
+/** The suite's fast sweeps at a short trace, on two jobs. */
+constexpr RunSettings kSettings{kTraceLen, 2009, /*fast=*/true, 2};
 
 /** What one pass over the two ablations did, and what it wrote. */
 struct Pass
@@ -56,15 +56,9 @@ class WarmRerunTest : public ::testing::Test
     {
         dir = fs::temp_directory_path() / "contest_warm_rerun_test";
         fs::remove_all(dir);
-        setenv("CONTEST_FAST", "1", 1);
     }
 
-    void
-    TearDown() override
-    {
-        unsetenv("CONTEST_FAST");
-        fs::remove_all(dir);
-    }
+    void TearDown() override { fs::remove_all(dir); }
 
     /** Run both ablations on a fresh Runner over dir/cache, writing
      *  their artifacts to dir/@p out. */
@@ -72,7 +66,8 @@ class WarmRerunTest : public ::testing::Test
     runAblations(const std::string &out) const
     {
         const std::uint64_t coresBefore = OooCore::instancesBuilt();
-        Runner runner(kTraceLen, kSeed);
+        ThreadPool pool(kSettings.jobs);
+        Runner runner(kSettings, &pool);
         ResultCache cache((dir / "cache").string());
         runner.setResultCache(&cache);
         ArtifactSink sink((dir / out).string(), /*echo=*/false);
@@ -128,7 +123,8 @@ TEST_F(WarmRerunTest, AblationsGAndHSimulateNothingWarm)
 
 TEST_F(WarmRerunTest, NameAndConfigShareOneSingleAndVariantsKeyApart)
 {
-    Runner runner(kTraceLen, kSeed);
+    ThreadPool pool(1);
+    Runner runner(kSettings, &pool);
     bool materialized = false;
     const LoggedRun &byName = runner.single("gzip", "gcc");
     const LoggedRun &byConfig = runner.single(

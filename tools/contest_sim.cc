@@ -14,7 +14,6 @@
  * the usage and exits 2 (common/cli.hh).
  */
 
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -40,11 +39,11 @@ constexpr double maxLatencyNs = 1e6;
 struct Options
 {
     std::uint64_t insts = 200'000;
-    std::uint64_t seed = 2009;
+    std::uint64_t seed = RunSettings{}.seed;
     double latencyNs = 1.0;
     std::string traceFile;
     InjectionStyle style = InjectionStyle::PortSteal;
-    std::uint64_t jobs = defaultJobs();
+    unsigned jobs = RunSettings{}.jobs;
 };
 
 TracePtr
@@ -116,9 +115,7 @@ cmdMatrix(const std::vector<std::string> &, const Options &opt)
     const auto &palette = appendixAPalette();
     std::vector<std::vector<double>> ipt(
         benches.size(), std::vector<double>(palette.size(), 0.0));
-    // Clamped to [1, 1024], as CONTEST_JOBS is.
-    ThreadPool pool(
-        static_cast<unsigned>(std::clamp<std::uint64_t>(opt.jobs, 1, 1024)));
+    ThreadPool pool(opt.jobs);
     pool.parallelFor(benches.size(), [&](std::size_t b) {
         auto trace =
             makeBenchmarkTrace(benches[b], opt.seed, opt.insts);
@@ -211,9 +208,11 @@ main(int argc, char **argv)
     cli.text("--style", "S", style,
              "injection style: portsteal | markready");
     cli.integer("--jobs", "N", opt.jobs,
-                "matrix-sweep concurrency (default CONTEST_JOBS or\n"
-                "the hardware concurrency); results are identical\n"
-                "for every N");
+                "matrix-sweep concurrency, 1-1024 (default: the\n"
+                "hardware concurrency); results are identical\n"
+                "for every N",
+                1, RunSettings::maxJobs);
+    cli.defaultFrom("CONTEST_JOBS");
     cli.flag("--quiet", quiet, "suppress info logging");
     const std::vector<std::string> args = cli.parse(argc, argv);
 
