@@ -42,7 +42,7 @@ runAblation(ExperimentContext &ctx)
                  "annealed partner", "evals"};
 
     // One row per benchmark, computed concurrently. A row depends
-    // only on its benchmark (the walk only on its seed and batch),
+    // only on its benchmark (the walk only on its seed),
     // and runParallel returns the rows in benchmark order, so the
     // artifact is the same at every job count.
     struct Row
@@ -87,11 +87,6 @@ runAblation(ExperimentContext &ctx)
         AnnealConfig ac;
         ac.steps = StepCount{steps};
         ac.seed = 13;
-        // Fixed round size: the annealing trajectory depends on
-        // (seed, batch), so changing it would change the walk and the
-        // golden artifact. Each round proposes 4 candidates and
-        // simulates them in order up to the first acceptance.
-        ac.batch = 4;
         CoreConfig start = own;
         start.name = bench + "-partner";
         row.annealed = annealCoreConfig(objective, start, ac);

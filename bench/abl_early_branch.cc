@@ -26,7 +26,7 @@ runAblation(ExperimentContext &ctx)
 
     std::vector<double> benefits;
     for (const auto &bench : profileNames()) {
-        auto choice = runner.bestContestingPair(bench, {}, 3);
+        auto choice = runner.bestContestingPair(bench, 3);
 
         ContestConfig off;
         off.earlyBranchResolve = false;

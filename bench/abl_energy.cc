@@ -35,7 +35,7 @@ runAblation(ExperimentContext &ctx)
     unsigned top = runner.settings().fast ? 2 : 5;
     for (const auto &bench : profileNames()) {
         const auto &own = runner.single(bench, bench);
-        auto choice = runner.bestContestingPair(bench, {}, top);
+        auto choice = runner.bestContestingPair(bench, top);
         const auto &r = choice.result;
 
         double insts = static_cast<double>(runner.settings().traceLen);

@@ -52,7 +52,7 @@ runAblation(ExperimentContext &ctx)
         double cost = speedup(with_ic, perfect);
         costs.push_back(cost);
 
-        auto choice = runner.bestContestingPair(bench, {}, 3);
+        auto choice = runner.bestContestingPair(bench, 3);
         double contested =
             runner
                 .contested(bench,

@@ -27,7 +27,7 @@ runAblation(ExperimentContext &ctx)
 
     std::vector<double> deltas;
     for (const auto &bench : profileNames()) {
-        auto choice = runner.bestContestingPair(bench, {}, 3);
+        auto choice = runner.bestContestingPair(bench, 3);
 
         ContestConfig mark;
         mark.injectionStyle = InjectionStyle::MarkReady;

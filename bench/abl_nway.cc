@@ -31,7 +31,7 @@ runAblation(ExperimentContext &ctx)
     std::vector<double> gain3;
     std::vector<double> gain4;
     for (const auto &bench : profileNames()) {
-        auto choice = runner.bestContestingPair(bench, {}, 3);
+        auto choice = runner.bestContestingPair(bench, 3);
 
         // Rank the remaining core types by single-core IPT for this
         // benchmark and add the best ones.

@@ -41,7 +41,7 @@ runAblation(ExperimentContext &ctx)
         t.columns.push_back("leader stalls @min");
 
         for (const auto &bench : benches) {
-            auto choice = runner.bestContestingPair(bench, {}, 3);
+            auto choice = runner.bestContestingPair(bench, 3);
             std::vector<ArtifactCell> cells{
                 cellText(bench),
                 cellText(choice.coreA + "+" + choice.coreB)};

@@ -58,7 +58,7 @@ runCmpMigration(ExperimentContext &ctx)
     auto names = profileNames();
     for (const auto &bench : names) {
         const auto &own = runner.single(bench, bench);
-        auto choice = runner.bestContestingPair(bench, {}, top);
+        auto choice = runner.bestContestingPair(bench, top);
         const auto &ra = runner.single(bench, choice.coreA);
         const auto &rb = runner.single(bench, choice.coreB);
 

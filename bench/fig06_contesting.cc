@@ -38,7 +38,7 @@ runFig06(ExperimentContext &ctx)
     auto rows = runner.runParallel(benches.size(), [&](std::size_t i) {
         Row row;
         row.own = runner.single(benches[i], benches[i]).result.ipt;
-        row.choice = runner.bestContestingPair(benches[i], {}, top);
+        row.choice = runner.bestContestingPair(benches[i], top);
         return row;
     });
 

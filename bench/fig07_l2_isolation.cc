@@ -42,7 +42,7 @@ runFig07(ExperimentContext &ctx)
     std::vector<double> shares;
     for (const auto &bench : profileNames()) {
         double own = runner.single(bench, bench).result.ipt;
-        auto choice = runner.bestContestingPair(bench, {}, top);
+        auto choice = runner.bestContestingPair(bench, top);
         double full_sp = speedup(choice.result.ipt, own);
 
         const auto &core_x = coreConfigByName(choice.coreA);

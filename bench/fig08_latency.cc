@@ -37,7 +37,7 @@ runFig08(ExperimentContext &ctx)
     auto names = profileNames();
     for (const auto &bench : names) {
         double own = runner.single(bench, bench).result.ipt;
-        auto choice = runner.bestContestingPair(bench, {}, top);
+        auto choice = runner.bestContestingPair(bench, top);
 
         std::vector<ArtifactCell> cells{
             cellText(bench),

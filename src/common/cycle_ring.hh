@@ -13,8 +13,8 @@
  * that actually hold events — an occupancy bit per bucket makes
  * "when is the next event?" a find-first-set scan over a handful of
  * words. Events beyond the ring's horizon (unbounded memory-bus
- * queuing delay) spill into a small overflow heap, so no bound on
- * event latency is assumed.
+ * queuing delay) spill into a small overflow priority queue, so no
+ * bound on event latency is assumed.
  *
  * Bucket storage is one shared node pool threaded through intrusive
  * per-bucket chains. Per-bucket vectors would re-allocate whenever
@@ -35,11 +35,12 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <queue>
 #include <utility>
 #include <vector>
 
 #include "common/log.hh"
-#include "common/min_heap.hh"
 #include "common/soa.hh"
 #include "common/types.hh"
 
@@ -183,8 +184,13 @@ class CycleRing
     }
 
     /**
-     * Deliver every event with cycle <= @p cur to @p fn, in
-     * nondecreasing cycle order (insertion order within a cycle).
+     * Deliver every event with cycle <= @p cur to @p fn: the ring's
+     * in nondecreasing cycle order (insertion order within a cycle),
+     * then the overflow's in (cycle, payload) order. A drain that
+     * spans several event cycles may so deliver an overflow event
+     * after a later ring event. The core never sees that: it drains
+     * at the first tick an event is due, so all it delivers share a
+     * cycle.
      */
     template <typename Fn>
     void
@@ -286,7 +292,7 @@ class CycleRing
         } else {
             freeHead = -1;
         }
-        overflow.clear();
+        overflow = {};
         drainedUpTo = now;
         cachedNext = Cycles::max();
         cacheValid = true;
@@ -306,7 +312,10 @@ class CycleRing
     SoaVec<std::int32_t> bucketHead;
     SoaVec<std::int32_t> bucketTail;
     SoaVec<std::uint64_t> occW;
-    MinHeap<std::pair<Cycles, T>> overflow;
+    /** Events past the horizon, least (cycle, payload) on top. */
+    using Event = std::pair<Cycles, T>;
+    std::priority_queue<Event, std::vector<Event>, std::greater<>>
+        overflow;
     /** Min pending cycle; lazily recomputed after a drain. */
     mutable Cycles cachedNext = Cycles::max();
     mutable bool cacheValid = true;

@@ -29,26 +29,6 @@ harmonicMean(const std::vector<double> &xs)
     return static_cast<double>(xs.size()) / recip_sum;
 }
 
-double
-weightedHarmonicMean(const std::vector<double> &xs,
-                     const std::vector<double> &weights)
-{
-    fatal_if(xs.size() != weights.size(),
-             "weightedHarmonicMean: size mismatch (%zu vs %zu)",
-             xs.size(), weights.size());
-    if (xs.empty())
-        return 0.0;
-    double w_sum = 0.0;
-    double ratio_sum = 0.0;
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-        fatal_if(xs[i] <= 0.0 || weights[i] <= 0.0,
-                 "weightedHarmonicMean requires positive inputs");
-        w_sum += weights[i];
-        ratio_sum += weights[i] / xs[i];
-    }
-    return w_sum / ratio_sum;
-}
-
 std::size_t
 argmaxFirst(const std::vector<double> &xs)
 {

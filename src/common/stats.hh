@@ -20,13 +20,6 @@ double arithmeticMean(const std::vector<double> &xs);
 double harmonicMean(const std::vector<double> &xs);
 
 /**
- * Weighted harmonic mean: sum(w) / sum(w / x). Weights and values
- * must be positive and the two vectors the same length.
- */
-double weightedHarmonicMean(const std::vector<double> &xs,
-                            const std::vector<double> &weights);
-
-/**
  * Index of the largest element, ties resolved to the FIRST
  * occurrence. Every best-row scan in the experiment suite funnels
  * through this so tie-breaking is uniform (and independent of scan

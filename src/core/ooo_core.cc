@@ -96,7 +96,7 @@ OooCore::OooCore(const CoreConfig &core_config, TracePtr trace_ptr,
     // Event rings cover the longest ordinary event horizon — a full
     // memory round trip past the scheduler — with headroom for bus
     // queuing; rarer, longer delays spill to each ring's overflow
-    // heap without loss.
+    // queue without loss.
     const std::size_t event_span = static_cast<std::size_t>(
         cfg.schedDepth.count() + cfg.wakeupLatency.count()
         + cfg.l1d.latency.count() + cfg.l2.latency.count()
@@ -789,16 +789,17 @@ OooCore::doFetch(TimePs now)
         }
     }
 
-    // Batched decode: pull the whole candidate fetch group as raw
-    // pointers into the trace's pre-decoded arrays in one call.
+    // The fetch group: up to width instructions the fetch queue has
+    // room for, clipped to the end of the trace, read straight from
+    // the trace's instruction and pre-decoded flags arrays.
     const std::size_t room = fetchQueueCap - fqOcc;
-    const unsigned budget = static_cast<unsigned>(
-        std::min<std::size_t>(cfg.width, room));
-    const FetchBlock blk = trace->block(fetchSeq, budget);
+    const InstSeq group_end = std::min(
+        fetchSeq + std::min<std::size_t>(cfg.width, room),
+        trace->endSeq());
     const Cycles rename_ready = curCycle + cfg.frontEndDepth;
-    for (std::uint32_t i = 0; i < blk.count; ++i) {
-        const TraceInst &inst = blk.insts[i];
-        const std::uint8_t fl = blk.flags[i];
+    while (fetchSeq < group_end) {
+        const TraceInst &inst = trInsts[fetchSeq.count()];
+        const std::uint8_t fl = trFlags[fetchSeq.count()];
 
         FetchOutcome out;
         if (hooks != nullptr)

@@ -194,8 +194,8 @@ class OooCore
         InstSeq seq{};
         std::int32_t slot = -1;
 
-        /** Overflow-heap tie-break; the pair's cycle orders first
-         *  and same-cycle handlers commute, so seq alone is enough. */
+        /** Overflow tie-break; the pair's cycle orders first and
+         *  same-cycle handlers commute, so seq alone is enough. */
         bool
         operator<(const TimedReady &o) const
         {
@@ -256,7 +256,7 @@ class OooCore
     int allocIqSlot();
     void freeIqSlot(int slot);
     /** Move every waiter of the producer at ROB ring position
-     *  @p prod_pos to the timed-ready heap. */
+     *  @p prod_pos to the timed-ready ring. */
     void wakeWaiters(std::size_t prod_pos);
     /** An in-queue instruction was completed externally (early
      *  branch resolution): queue it for a scan-order reap. */

@@ -49,6 +49,13 @@ constexpr unsigned setsMenu[] = {128, 256, 512, 1024, 2048, 4096,
 constexpr unsigned blockMenu[] = {8, 16, 32, 64, 128, 256, 512};
 constexpr unsigned assocMenu[] = {1, 2, 4, 8, 16};
 
+/**
+ * Candidates proposed per round. The walk, and so Ablation G's
+ * golden artifact, depends on it: another size walks another
+ * trajectory from the same seed.
+ */
+constexpr std::uint64_t roundSize = 4;
+
 } // namespace
 
 void
@@ -166,54 +173,18 @@ annealCoreConfig(
     if (temperature <= 0.0)
         temperature = anneal_config.initialTemperature;
 
-    auto record_accept = [&](const CoreConfig &candidate,
-                             double score) {
-        current = candidate;
-        current_score = score;
-        ++result.accepted;
-        if (score > result.bestScore) {
-            result.bestScore = score;
-            result.best = candidate;
-        }
-    };
-
-    if (anneal_config.batch <= 1) {
-        // Classic serial walk, kept bit-compatible with the
-        // pre-batching annealer: the acceptance draw happens only
-        // when the Metropolis test actually needs one.
-        for (StepCount step{}; step < anneal_config.steps;
-             ++step) {
-            CoreConfig candidate = mutate(current);
-            double score = objective(candidate);
-            ++result.evaluations;
-
-            bool accept = score >= current_score;
-            if (!accept && temperature > 0.0) {
-                double p =
-                    std::exp((score - current_score) / temperature);
-                accept = rng.chance(p);
-            }
-            if (accept)
-                record_accept(candidate, score);
-            temperature *= anneal_config.coolingFactor;
-        }
-        return result;
-    }
-
-    // Speculative batches: mutate a round of neighbors from the
-    // current point and pre-draw an acceptance uniform for each,
-    // consuming the rng in the same order however much of the round
-    // is read, so the trajectory depends only on (seed, batch). The
-    // Metropolis scan then scores the candidates in generation order
-    // and stops at the first acceptance; the round's later
-    // candidates are never scored.
+    // Each round mutates its candidates from the current point and
+    // draws an acceptance uniform for each, consuming the rng in the
+    // same order however much of the round is read. The Metropolis
+    // scan then scores the candidates in order and stops at the
+    // first acceptance; the round's later candidates are never
+    // scored.
     StepCount consumed{};
     std::vector<CoreConfig> candidates;
     std::vector<double> uniforms;
     while (consumed < anneal_config.steps) {
         std::uint64_t round = std::min<std::uint64_t>(
-            anneal_config.batch,
-            (anneal_config.steps - consumed).count());
+            roundSize, (anneal_config.steps - consumed).count());
         candidates.clear();
         uniforms.clear();
         for (std::uint64_t i = 0; i < round; ++i) {
@@ -233,7 +204,13 @@ annealCoreConfig(
             }
             temperature *= anneal_config.coolingFactor;
             if (accept) {
-                record_accept(candidates[i], score);
+                current = candidates[i];
+                current_score = score;
+                ++result.accepted;
+                if (score > result.bestScore) {
+                    result.bestScore = score;
+                    result.best = current;
+                }
                 break;
             }
         }

@@ -32,17 +32,6 @@ struct AnnealConfig
     double initialTemperature = 0.2; //!< relative objective scale
     double coolingFactor = 0.97;     //!< temperature decay per step
     std::uint64_t seed = 1;          //!< move-generation seed
-    /**
-     * Neighbors proposed per round (speculative annealing): each
-     * round mutates @c batch candidates from the current point and
-     * pre-draws an acceptance uniform for each, then scores them in
-     * generation order and accepts the first that passes the
-     * Metropolis test; the round's later candidates are never
-     * scored. 1 reproduces the classic serial walk. The trajectory
-     * depends only on (seed, batch); different batch sizes walk
-     * different (equally valid) trajectories.
-     */
-    std::uint64_t batch = 1;
 };
 
 /** Result of one exploration. */
@@ -52,9 +41,9 @@ struct AnnealResult
     double bestScore = 0.0;
     /**
      * Design points proposed, the start point included: 1 plus the
-     * sum of the round sizes. The walk scores 1 + steps of them; with
-     * batch > 1 the candidates after a round's acceptance are
-     * proposed but never scored.
+     * sum of the round sizes. The walk scores only 1 + steps of them;
+     * the candidates after a round's acceptance are proposed but
+     * never scored.
      */
     std::uint64_t evaluations = 0;
     std::uint64_t accepted = 0;
@@ -70,6 +59,12 @@ void applyTechnologyModel(CoreConfig &config);
 
 /**
  * Simulated-annealing exploration of the core design space.
+ *
+ * The walk goes in rounds: each round mutates a fixed number of
+ * candidates from the current point and draws an acceptance uniform
+ * for each, then scores them in order up to the first that passes
+ * the Metropolis test. For a given start point, schedule and
+ * objective, the walk depends only on the seed.
  *
  * @param objective scores a candidate (higher is better); typically
  *        the IPT of a workload via runSingle(). Called exactly

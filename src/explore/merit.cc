@@ -110,58 +110,4 @@ scoreCmp(const IptMatrix &matrix,
     panic("unknown Merit %d", static_cast<int>(merit));
 }
 
-double
-scoreCmpWeighted(const IptMatrix &matrix,
-                 const std::vector<std::size_t> &cores, Merit merit,
-                 const std::vector<double> &weights)
-{
-    panic_if(cores.empty(), "scoreCmpWeighted with empty core set");
-    fatal_if(weights.size() != matrix.numBenches(),
-             "scoreCmpWeighted: %zu weights for %zu benchmarks",
-             weights.size(), matrix.numBenches());
-    for (double w : weights)
-        fatal_if(w <= 0.0,
-                 "scoreCmpWeighted requires positive weights");
-
-    std::vector<double> best = bestIpts(matrix, cores);
-    switch (merit) {
-      case Merit::Avg:
-        {
-            double w_sum = 0.0;
-            double acc = 0.0;
-            for (std::size_t b = 0; b < best.size(); ++b) {
-                w_sum += weights[b];
-                acc += weights[b] * best[b];
-            }
-            return acc / w_sum;
-        }
-      case Merit::Har:
-        return weightedHarmonicMean(best, weights);
-      case Merit::CwHar:
-        {
-            // The contention share of a core type is the total
-            // submission weight of the benchmarks preferring it,
-            // normalized so uniform weights reduce to the plain
-            // benchmark count.
-            std::vector<double> share(matrix.numCores(), 0.0);
-            std::vector<std::size_t> pref(matrix.numBenches());
-            double w_sum = 0.0;
-            for (std::size_t b = 0; b < matrix.numBenches(); ++b) {
-                pref[b] = bestCoreFor(matrix, b, cores);
-                share[pref[b]] += weights[b];
-                w_sum += weights[b];
-            }
-            double mean_w =
-                w_sum / static_cast<double>(matrix.numBenches());
-            std::vector<double> weighted;
-            weighted.reserve(matrix.numBenches());
-            for (std::size_t b = 0; b < matrix.numBenches(); ++b)
-                weighted.push_back(best[b]
-                                   / (share[pref[b]] / mean_w));
-            return weightedHarmonicMean(weighted, weights);
-        }
-    }
-    panic("unknown Merit %d", static_cast<int>(merit));
-}
-
 } // namespace contest

@@ -14,6 +14,8 @@
  *            benchmark's IPT by the number of benchmarks sharing its
  *            preferred core type (Little's-law queueing under heavy
  *            load), then takes the harmonic mean
+ *
+ * Every benchmark counts once: the job mix is uniform (DESIGN.md §5).
  */
 
 #ifndef CONTEST_EXPLORE_MERIT_HH
@@ -71,20 +73,6 @@ bestIpts(const IptMatrix &matrix,
 /** Score the candidate core set under the given figure of merit. */
 double scoreCmp(const IptMatrix &matrix,
                 const std::vector<std::size_t> &cores, Merit merit);
-
-/**
- * Weighted variant of scoreCmp (paper Section 6.1: "this figure of
- * merit is improved if the benchmarks are weighted by the frequency
- * with which they occur in the system"). Weights must be positive
- * and one per benchmark; for Avg they weight the arithmetic mean,
- * for Har/CwHar the harmonic mean, and for CwHar they additionally
- * replace the uniform job-arrival assumption in the per-core
- * contention shares.
- */
-double scoreCmpWeighted(const IptMatrix &matrix,
-                        const std::vector<std::size_t> &cores,
-                        Merit merit,
-                        const std::vector<double> &weights);
 
 } // namespace contest
 

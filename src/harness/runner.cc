@@ -227,7 +227,6 @@ Runner::matrix()
 
 Runner::PairChoice
 Runner::bestContestingPair(const std::string &bench,
-                           const ContestConfig &config,
                            unsigned simulate_top)
 {
     fatal_if(simulate_top == 0, "bestContestingPair: nothing to try");
@@ -275,8 +274,7 @@ Runner::bestContestingPair(const std::string &bench,
     std::vector<const ContestResult *> results(tried);
     pool_->parallelFor(tried, [&](std::size_t i) {
         results[i] = &contestedPair(bench, palette[ranked[i].a].name,
-                                    palette[ranked[i].b].name,
-                                    config);
+                                    palette[ranked[i].b].name);
     });
 
     PairChoice best;

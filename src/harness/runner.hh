@@ -171,7 +171,8 @@ class Runner
      * of their region logs at fine granularity, then the top
      * @p simulate_top pairs are actually contested and the best
      * contested result wins (this prunes the 55-pair space the way
-     * the paper's own exhaustive search would rank it).
+     * the paper's own exhaustive search would rank it). The
+     * contests run under the default ContestConfig.
      */
     struct PairChoice
     {
@@ -180,8 +181,7 @@ class Runner
         ContestResult result;
     };
     PairChoice bestContestingPair(const std::string &bench,
-                                  const ContestConfig &config = {},
-                                  unsigned simulate_top = 5);
+                                  unsigned simulate_top);
 
     /** What the runs depend on. */
     const RunSettings &settings() const { return settings_; }

@@ -31,7 +31,7 @@ simulateLoad(const IptMatrix &matrix, const CmpDesign &design,
     for (unsigned i = 0; i < config.totalCores; ++i)
         cores.push_back(CoreInstance{design.cores[i % num_types]});
 
-    // Per-type earliest-free lookup for the preferred-type policy.
+    // Jobs queue at the earliest-free core of their preferred type.
     auto earliest_of_type = [&](std::size_t column) {
         CoreInstance *best = nullptr;
         for (auto &core : cores)
@@ -54,31 +54,13 @@ simulateLoad(const IptMatrix &matrix, const CmpDesign &design,
     double makespan = 0.0;
     for (std::uint64_t j = 0; j < config.numJobs; ++j) {
         // Poisson arrivals, uniform job types (the paper's
-        // assumptions; weights would model uneven submission).
+        // assumptions).
         now += -config.meanInterarrivalNs
             * std::log(1.0 - rng.uniform());
         std::size_t bench = rng.below(matrix.numBenches());
 
-        CoreInstance *core = nullptr;
-        if (config.policy == SchedPolicy::PreferredType) {
-            std::size_t pref =
-                bestCoreFor(matrix, bench, design.cores);
-            core = earliest_of_type(pref);
-        } else {
-            // Best available: minimize this job's completion time
-            // over every instance.
-            double best_end = 0.0;
-            for (auto &cand : cores) {
-                double service = config.jobInsts
-                    / matrix.ipt[bench][cand.typeColumn];
-                double end =
-                    std::max(now, cand.freeAtNs) + service;
-                if (core == nullptr || end < best_end) {
-                    core = &cand;
-                    best_end = end;
-                }
-            }
-        }
+        CoreInstance *core =
+            earliest_of_type(bestCoreFor(matrix, bench, design.cores));
 
         double service =
             config.jobInsts / matrix.ipt[bench][core->typeColumn];

@@ -27,16 +27,6 @@
 namespace contest
 {
 
-/** How jobs are mapped to cores. */
-enum class SchedPolicy
-{
-    /** Queue at the preferred core type even if it is busy (the
-     *  policy the cw-har merit assumes). */
-    PreferredType,
-    /** Take the best *idle* core; queue globally if none is idle. */
-    BestAvailable,
-};
-
 /** Configuration of one multiprogrammed-load simulation. */
 struct SchedConfig
 {
@@ -51,7 +41,6 @@ struct SchedConfig
     std::uint64_t numJobs = 2000;
     /** Arrival-process seed. */
     std::uint64_t seed = 1;
-    SchedPolicy policy = SchedPolicy::PreferredType;
 };
 
 /** Outcome of one simulation. */
@@ -74,8 +63,10 @@ struct SchedResult
 /**
  * Simulate a stream of jobs over a CMP built from the given design.
  * Each arriving job is one of the matrix's benchmarks (uniform over
- * benchmarks, as the paper assumes); its service time on a core of
- * type c is jobInsts / ipt[bench][c] nanoseconds.
+ * benchmarks, as the paper assumes) and queues at the earliest-free
+ * core of its preferred type, even if a core of another type is
+ * idle; its service time on a core of type c is
+ * jobInsts / ipt[bench][c] nanoseconds.
  */
 SchedResult simulateLoad(const IptMatrix &matrix,
                          const CmpDesign &design,

@@ -7,9 +7,9 @@
  * instruction, every cycle, on every core. A trace is immutable once
  * generated, so those predicates are computed exactly once at trace
  * construction and stored as one flags byte per instruction in an
- * array parallel to the TraceInst array. fetch() then pulls a
- * FetchBlock — raw pointers into both arrays — and the per-cycle
- * loops reduce every predicate to a single AND.
+ * array parallel to the TraceInst array. The core's fetch stage
+ * indexes both arrays directly, and the per-cycle loops reduce every
+ * predicate to a single AND.
  */
 
 #ifndef CONTEST_TRACE_DECODE_HH
@@ -67,18 +67,6 @@ decodeFlags(const TraceInst &inst)
         f |= kDecWritesReg;
     return f;
 }
-
-/**
- * A contiguous run of pre-decoded instructions handed to fetch():
- * raw pointers into the trace's instruction and flags arrays,
- * valid as long as the (immutable) trace lives.
- */
-struct FetchBlock
-{
-    const TraceInst *insts = nullptr;
-    const std::uint8_t *flags = nullptr;
-    std::uint32_t count = 0;
-};
 
 } // namespace contest
 

@@ -6,7 +6,6 @@
 #ifndef CONTEST_TRACE_TRACE_HH
 #define CONTEST_TRACE_TRACE_HH
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -97,22 +96,6 @@ class Trace
 
     /** Raw base of the pre-decoded flags array, parallel to data(). */
     const std::uint8_t *decodedFlags() const { return flags_.data(); }
-
-    /**
-     * Up to @p max_count pre-decoded instructions starting at stream
-     * position @p seq, clipped to the end of the trace. The block
-     * aliases the trace arrays: no copying, valid while the trace
-     * lives.
-     */
-    FetchBlock
-    block(InstSeq seq, std::uint32_t max_count) const
-    {
-        const auto i = static_cast<std::size_t>(seq.count());
-        const std::size_t n =
-            std::min<std::size_t>(max_count, insts.size() - i);
-        return FetchBlock{insts.data() + i, flags_.data() + i,
-                          static_cast<std::uint32_t>(n)};
-    }
 
     /** Generator phase id of the i-th instruction. */
     std::uint8_t phaseOf(std::size_t i) const { return phases[i]; }

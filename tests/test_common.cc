@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <map>
 #include <set>
 #include <string>
 #include <type_traits>
@@ -17,6 +19,7 @@
 #include <vector>
 
 #include "common/cli.hh"
+#include "common/cycle_ring.hh"
 #include "common/env.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
@@ -257,15 +260,81 @@ TEST(ArgmaxFirst, RejectsEmptyInput)
                 "argmaxFirst");
 }
 
-TEST(Means, WeightedHarmonic)
+/**
+ * Drive a CycleRing and a std::multimap reference through the same
+ * seeded mix of operations: pushes inside the ring, past-due pushes
+ * (clamped to now + 1), pushes past the horizon (the overflow),
+ * drains after gaps of 1-4 cycles (the bucket walk) and of 5 up to
+ * the span (the bitmap scan; no drain goes further while events are
+ * pending), and clear(now). A payload is its due cycle times four
+ * plus a tag below four, so equal payloads can queue together and
+ * each drain compares with the reference cycle by cycle as
+ * multisets.
+ */
+void
+checkCycleRingAgainstMultimap(std::uint64_t seed)
 {
-    // Equal weights reduce to the plain harmonic mean.
-    std::vector<double> xs{2.0, 4.0};
-    std::vector<double> w{1.0, 1.0};
-    EXPECT_NEAR(weightedHarmonicMean(xs, w), harmonicMean(xs), 1e-12);
-    // All weight on one element returns (nearly) that element.
-    std::vector<double> w2{1e9, 1.0};
-    EXPECT_NEAR(weightedHarmonicMean(xs, w2), 2.0, 1e-6);
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    // A power of two, so it is exactly the ring's span.
+    constexpr std::uint64_t span = 64;
+    constexpr std::uint64_t tags = 4;
+    CycleRing<std::uint64_t> ring;
+    ring.init(span, 16);
+    std::multimap<Cycles, std::uint64_t> ref;
+    Rng rng(seed);
+    Cycles now{};
+
+    auto push = [&](Cycles at) {
+        const Cycles due = std::max(at, now + 1);
+        const std::uint64_t v = due.count() * tags + rng.below(tags);
+        ring.push(now, at, v);
+        ref.emplace(due, v);
+    };
+    using PerCycle = std::map<Cycles, std::multiset<std::uint64_t>>;
+    for (int op = 0; op < 20000; ++op) {
+        const std::uint64_t kind = rng.below(100);
+        if (kind < 30) {
+            push(now + 1 + rng.below(span));
+        } else if (kind < 40) {
+            const std::uint64_t back =
+                rng.below(std::min<std::uint64_t>(now.count(), 3) + 1);
+            push(Cycles{now.count() - back});
+        } else if (kind < 50) {
+            push(now + span + 1 + rng.below(3 * span));
+        } else if (kind < 98) {
+            const std::uint64_t gap = rng.chance(0.5)
+                ? 1 + rng.below(4)
+                : 5 + rng.below(span - 4);
+            const Cycles to = now + gap;
+            PerCycle got;
+            ring.drainUpTo(to, [&](std::uint64_t v) {
+                got[Cycles{v / tags}].insert(v);
+            });
+            PerCycle want;
+            for (auto it = ref.begin();
+                 it != ref.end() && it->first <= to;
+                 it = ref.erase(it))
+                want[it->first].insert(it->second);
+            ASSERT_EQ(got, want) << "drain to " << to.count();
+            now = to;
+        } else {
+            now = now + rng.below(2 * span);
+            ring.clear(now);
+            ref.clear();
+        }
+        ASSERT_EQ(ring.size(), ref.size()) << "op " << op;
+        ASSERT_EQ(ring.empty(), ref.empty()) << "op " << op;
+        if (!ref.empty()) {
+            ASSERT_EQ(ring.nextAt().count(), ref.begin()->first.count())
+                << "op " << op;
+        }
+    }
+}
+
+TEST(CycleRing, MatchesAMultimapReference)
+{
+    for (std::uint64_t seed = 1; seed <= 4; ++seed)
+        checkCycleRingAgainstMultimap(seed);
 }
 
 TEST(TextTable, RendersAlignedRows)

@@ -205,12 +205,17 @@ TEST(Annealer, ImprovesAnAnalyticObjective)
     applyTechnologyModel(start);
     double start_score = objective(start);
 
+    std::uint64_t calls = 0;
+    auto counted = [&](const CoreConfig &c) {
+        ++calls;
+        return objective(c);
+    };
     AnnealConfig ac;
     ac.steps = StepCount{400};
     ac.seed = 5;
-    auto result = annealCoreConfig(objective, start, ac);
+    auto result = annealCoreConfig(counted, start, ac);
     EXPECT_GT(result.bestScore, start_score);
-    EXPECT_EQ(result.evaluations, 401u);
+    EXPECT_EQ(calls, 401u);
     EXPECT_GT(result.accepted, 0u);
     result.best.validate();
 }
@@ -232,22 +237,25 @@ TEST(Annealer, DeterministicForEqualSeeds)
     EXPECT_EQ(r1.best.width, r2.best.width);
 }
 
+/** Candidates the walk proposes per round (annealer.cc). */
+constexpr std::uint64_t roundSize = 4;
+
 /**
  * Anneal widthRobPerClock from the default core and check what the
  * walk scored against what it proposed. A round proposes up to
- * batch candidates and scores them in order up to its first
+ * roundSize candidates and scores them in order up to its first
  * acceptance, so the walk scores the start point plus one candidate
  * per step, while evaluations counts every proposal. At initial
  * temperature 0 the walk is greedy (a candidate is accepted iff its
  * score does not fall), so its rounds replay from the scores alone.
  */
 void
-checkScoredAgainstProposed(double temperature, std::uint64_t batch,
-                           std::uint64_t seed, std::uint64_t steps)
+checkScoredAgainstProposed(double temperature, std::uint64_t seed,
+                           std::uint64_t steps)
 {
-    SCOPED_TRACE(testing::Message()
-                 << "temperature " << temperature << " batch " << batch
-                 << " seed " << seed << " steps " << steps);
+    SCOPED_TRACE(testing::Message() << "temperature " << temperature
+                                    << " seed " << seed << " steps "
+                                    << steps);
     std::vector<double> scores;
     auto objective = [&scores](const CoreConfig &c) {
         scores.push_back(widthRobPerClock(c));
@@ -256,12 +264,12 @@ checkScoredAgainstProposed(double temperature, std::uint64_t batch,
     AnnealConfig ac;
     ac.steps = StepCount{steps};
     ac.seed = seed;
-    ac.batch = batch;
     ac.initialTemperature = temperature;
     auto r = annealCoreConfig(objective, CoreConfig{}, ac);
     ASSERT_EQ(scores.size(), 1 + steps);
     EXPECT_GE(r.evaluations, 1 + steps);
-    EXPECT_LE(r.evaluations, 1 + steps + r.accepted * (batch - 1));
+    EXPECT_LE(r.evaluations,
+              1 + steps + r.accepted * (roundSize - 1));
     if (temperature > 0.0)
         return;
 
@@ -271,7 +279,7 @@ checkScoredAgainstProposed(double temperature, std::uint64_t batch,
     std::size_t next = 1;
     while (next < scores.size()) {
         std::uint64_t round =
-            std::min<std::uint64_t>(batch, scores.size() - next);
+            std::min<std::uint64_t>(roundSize, scores.size() - next);
         proposed += round;
         for (std::uint64_t i = 0; i < round; ++i) {
             double score = scores[next++];
@@ -289,11 +297,9 @@ checkScoredAgainstProposed(double temperature, std::uint64_t batch,
 TEST(Annealer, ScoresOneCandidatePerStepWhateverTheBatch)
 {
     for (double temperature : {0.2, 0.0})
-        for (std::uint64_t batch : {1, 2, 4, 8})
-            for (std::uint64_t seed = 1; seed <= 10; ++seed)
-                for (std::uint64_t steps : {15, 40})
-                    checkScoredAgainstProposed(temperature, batch,
-                                               seed, steps);
+        for (std::uint64_t seed = 1; seed <= 10; ++seed)
+            for (std::uint64_t steps : {15, 40})
+                checkScoredAgainstProposed(temperature, seed, steps);
 }
 
 TEST(Annealer, BatchOfFourWalkIsPinned)
@@ -309,7 +315,6 @@ TEST(Annealer, BatchOfFourWalkIsPinned)
     AnnealConfig ac;
     ac.steps = StepCount{15};
     ac.seed = 13;
-    ac.batch = 4;
     auto r = annealCoreConfig(objective, CoreConfig{}, ac);
     EXPECT_EQ(r.bestScore, 0x1.6fd0eb66fd0ebp+6);
     EXPECT_EQ(r.accepted, 13u);
@@ -318,39 +323,6 @@ TEST(Annealer, BatchOfFourWalkIsPinned)
     EXPECT_EQ(r.best.robSize, 256u);
     EXPECT_EQ(r.best.clockPeriodPs, TimePs{174});
     EXPECT_EQ(calls, 16u);
-}
-
-
-TEST(Merit, WeightedReducesToUnweightedForUniformWeights)
-{
-    auto m = toyMatrix();
-    std::vector<std::size_t> all{0, 1, 2};
-    std::vector<double> uniform{1.0, 1.0, 1.0};
-    for (Merit merit : {Merit::Avg, Merit::Har, Merit::CwHar})
-        EXPECT_NEAR(scoreCmpWeighted(m, all, merit, uniform),
-                    scoreCmp(m, all, merit), 1e-12);
-}
-
-TEST(Merit, WeightsShiftTheOptimum)
-{
-    auto m = toyMatrix();
-    // Weight b2 overwhelmingly: the best single core becomes c2
-    // (the only one giving b2 its maximum IPT of 2.0).
-    std::vector<double> w{1.0, 1.0, 100.0};
-    double c2_score = scoreCmpWeighted(m, {2}, Merit::Har, w);
-    double c0_score = scoreCmpWeighted(m, {0}, Merit::Har, w);
-    EXPECT_GT(c2_score, c0_score);
-}
-
-TEST(Merit, WeightedRejectsBadInput)
-{
-    auto m = toyMatrix();
-    EXPECT_EXIT(
-        scoreCmpWeighted(m, {0}, Merit::Har, {1.0, 1.0}),
-        ::testing::ExitedWithCode(1), "weights");
-    EXPECT_EXIT(
-        scoreCmpWeighted(m, {0}, Merit::Har, {1.0, -1.0, 1.0}),
-        ::testing::ExitedWithCode(1), "positive");
 }
 
 } // namespace

@@ -198,8 +198,8 @@ TEST(Runner, BestContestingPairIsIdenticalForAnyJobCount)
     ThreadPool parallel_pool(4);
     Runner serial({8000, 6}, &serial_pool);
     Runner parallel({8000, 6}, &parallel_pool);
-    auto cs = serial.bestContestingPair("gcc", {}, 3);
-    auto cp = parallel.bestContestingPair("gcc", {}, 3);
+    auto cs = serial.bestContestingPair("gcc", 3);
+    auto cp = parallel.bestContestingPair("gcc", 3);
     EXPECT_EQ(cs.coreA, cp.coreA);
     EXPECT_EQ(cs.coreB, cp.coreB);
     EXPECT_EQ(cs.result.ipt, cp.result.ipt);
@@ -209,7 +209,7 @@ TEST(Runner, BestContestingPairBeatsOwnCore)
 {
     ThreadPool pool(4);
     Runner runner({20000, 6}, &pool);
-    auto choice = runner.bestContestingPair("gcc", {}, 3);
+    auto choice = runner.bestContestingPair("gcc", 3);
     EXPECT_FALSE(choice.coreA.empty());
     EXPECT_FALSE(choice.coreB.empty());
     EXPECT_NE(choice.coreA, choice.coreB);
