@@ -12,6 +12,8 @@
 
 #include <algorithm>
 
+#include "harness/migration.hh"
+
 namespace contest
 {
 namespace
@@ -61,9 +63,12 @@ runFig01(ExperimentContext &ctx)
                      ++b) {
                     const auto &rb = runner.single(bench,
                                                    palette[b].name);
-                    TimePs fused = fuseRegionTimes(
-                        ra.regions->series(), rb.regions->series(),
-                        regions_per_block);
+                    TimePs fused =
+                        simulateMigration(ra.regions->series(),
+                                          rb.regions->series(),
+                                          {regions_per_block, TimePs{},
+                                           MigrationPolicy::Oracle})
+                            .totalPs;
                     double sp = static_cast<double>(own_total)
                             / static_cast<double>(fused)
                         - 1.0;

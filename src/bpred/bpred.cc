@@ -24,31 +24,14 @@ BranchPredictor::BranchPredictor(const BPredConfig &config)
     localHistMask =
         (std::uint32_t{1} << cfg.localHistBits) - 1;
 
-    auto make_local = [&]() {
-        local.assign(std::size_t{1} << cfg.localHistBits, 1);
-        localHist.assign(std::size_t{1} << cfg.localTableBits, 0);
-    };
-
-    switch (cfg.kind) {
-      case BPredConfig::Kind::Bimodal:
-        bimodal.assign(entries, 1);
-        break;
-      case BPredConfig::Kind::GShare:
-        gshare.assign(entries, 1);
-        break;
-      case BPredConfig::Kind::Local:
-        make_local();
-        break;
-      case BPredConfig::Kind::Tournament:
-        gshare.assign(entries, 1);
-        make_local();
-        choice.assign(entries, 1);
-        break;
-    }
+    gshare.assign(entries, 1);
+    local.assign(std::size_t{1} << cfg.localHistBits, 1);
+    localHist.assign(std::size_t{1} << cfg.localTableBits, 0);
+    choice.assign(entries, 1);
 }
 
 std::size_t
-BranchPredictor::bimodalIndex(Addr pc) const
+BranchPredictor::choiceIndex(Addr pc) const
 {
     return (pc >> 2) & ((std::size_t{1} << cfg.tableBits) - 1);
 }
@@ -73,54 +56,21 @@ BranchPredictor::predictAndTrain(Addr pc, bool actual_taken,
     if (count)
         ++numLookups;
 
-    bool prediction = false;
-    switch (cfg.kind) {
-      case BPredConfig::Kind::Bimodal:
-        {
-            const std::size_t i = bimodalIndex(pc);
-            prediction = bimodal.taken(i);
-            bimodal.train(i, actual_taken);
-        }
-        break;
-      case BPredConfig::Kind::GShare:
-        {
-            const std::size_t i = gshareIndex(pc);
-            prediction = gshare.taken(i);
-            gshare.train(i, actual_taken);
-        }
-        break;
-      case BPredConfig::Kind::Local:
-        {
-            std::uint16_t &hist = localHist[localHistIndex(pc)];
-            const std::size_t i = hist & localHistMask;
-            prediction = local.taken(i);
-            local.train(i, actual_taken);
-            hist = static_cast<std::uint16_t>(
-                ((hist << 1) | (actual_taken ? 1 : 0))
-                & localHistMask);
-        }
-        break;
-      case BPredConfig::Kind::Tournament:
-        {
-            // Alpha-21264-style: a per-branch local-history
-            // component competes with a global gshare component.
-            std::uint16_t &hist = localHist[localHistIndex(pc)];
-            const std::size_t li = hist & localHistMask;
-            const std::size_t gi = gshareIndex(pc);
-            const std::size_t ci = bimodalIndex(pc);
-            bool loc_pred = local.taken(li);
-            bool gsh_pred = gshare.taken(gi);
-            prediction = choice.taken(ci) ? gsh_pred : loc_pred;
-            if (loc_pred != gsh_pred)
-                choice.train(ci, gsh_pred == actual_taken);
-            local.train(li, actual_taken);
-            gshare.train(gi, actual_taken);
-            hist = static_cast<std::uint16_t>(
-                ((hist << 1) | (actual_taken ? 1 : 0))
-                & localHistMask);
-        }
-        break;
-    }
+    // Alpha-21264-style: a per-branch local-history component
+    // competes with a global gshare component.
+    std::uint16_t &hist = localHist[localHistIndex(pc)];
+    const std::size_t li = hist & localHistMask;
+    const std::size_t gi = gshareIndex(pc);
+    const std::size_t ci = choiceIndex(pc);
+    const bool loc_pred = local.taken(li);
+    const bool gsh_pred = gshare.taken(gi);
+    const bool prediction = choice.taken(ci) ? gsh_pred : loc_pred;
+    if (loc_pred != gsh_pred)
+        choice.train(ci, gsh_pred == actual_taken);
+    local.train(li, actual_taken);
+    gshare.train(gi, actual_taken);
+    hist = static_cast<std::uint16_t>(
+        ((hist << 1) | (actual_taken ? 1 : 0)) & localHistMask);
 
     history = ((history << 1) | (actual_taken ? 1 : 0)) & historyMask;
 

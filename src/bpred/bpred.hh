@@ -1,11 +1,11 @@
 /**
  * @file
- * Branch direction predictors and branch target buffer.
+ * Branch direction predictor and branch target buffer.
  *
  * Appendix A of the paper does not vary predictor geometry across
- * the customized cores, so every core instantiates the same default
- * tournament predictor; the classes are nonetheless fully
- * parameterized and unit-tested independently.
+ * the customized cores, so every core instantiates the same
+ * tournament predictor (DESIGN.md §5); its table geometry and the
+ * BTB's remain parameters of their configs.
  *
  * The core model fetches only correct-path instructions (trace
  * driven), so predictors are updated with the architectural outcome
@@ -26,55 +26,11 @@
 namespace contest
 {
 
-/** Saturating 2-bit counter helper. */
-class SatCounter2
-{
-  public:
-    /** Construct with an initial value in [0, 3]. */
-    explicit SatCounter2(std::uint8_t init = 1) : val(init) {}
-
-    /** Increment, saturating at 3. */
-    void
-    inc()
-    {
-        if (val < 3)
-            ++val;
-    }
-
-    /** Decrement, saturating at 0. */
-    void
-    dec()
-    {
-        if (val > 0)
-            --val;
-    }
-
-    /** Train toward the given outcome. */
-    void
-    train(bool taken)
-    {
-        if (taken)
-            inc();
-        else
-            dec();
-    }
-
-    /** Predicted direction. */
-    bool taken() const { return val >= 2; }
-
-    /** Raw counter value. */
-    std::uint8_t raw() const { return val; }
-
-  private:
-    std::uint8_t val;
-};
-
 /**
  * A table of 2-bit saturating counters packed 32 per uint64 word
  * (DESIGN.md §12): a default 8K-entry PHT is 2 KiB instead of 8 KiB,
- * so the tournament predictor's three tables and the choice table
- * stay L1-resident per core. Semantically identical to a
- * vector<SatCounter2> indexed the same way.
+ * so the tournament predictor's gshare, local and choice tables stay
+ * L1-resident per core.
  */
 class PackedSatCounters
 {
@@ -120,24 +76,23 @@ class PackedSatCounters
     SoaVec<std::uint64_t> words;
 };
 
-/** Geometry and flavor of a direction predictor. */
+/** Geometry of the tournament direction predictor. */
 struct BPredConfig
 {
-    enum class Kind { Bimodal, GShare, Local, Tournament };
-
-    Kind kind = Kind::Tournament;
-    unsigned tableBits = 13;    //!< log2 entries of each PHT
-    unsigned historyBits = 12;  //!< global history length (GShare)
+    unsigned tableBits = 13;    //!< log2 entries of the gshare and
+                                //!< choice tables
+    unsigned historyBits = 12;  //!< global history length (gshare)
     unsigned localHistBits = 10;//!< per-branch history length
     unsigned localTableBits = 10;//!< log2 entries of the local
                                  //!< history table
 };
 
 /**
- * Branch direction predictor: bimodal, gshare, per-branch local
- * history, or an Alpha-21264-style tournament of gshare and local
- * with a choice table. The local component is what captures short
- * loop periods that pollute the shared global history.
+ * Branch direction predictor: an Alpha-21264-style tournament of a
+ * global gshare component and a per-branch local-history component,
+ * arbitrated by a PC-indexed choice table. The local component is
+ * what captures short loop periods that pollute the shared global
+ * history.
  */
 class BranchPredictor
 {
@@ -177,13 +132,12 @@ class BranchPredictor
     }
 
   private:
-    std::size_t bimodalIndex(Addr pc) const;
+    std::size_t choiceIndex(Addr pc) const;
     std::size_t gshareIndex(Addr pc) const;
     std::size_t localHistIndex(Addr pc) const;
 
     BPredConfig cfg;
     /** Bit-packed pattern-history tables (2 bits per counter). */
-    PackedSatCounters bimodal;
     PackedSatCounters gshare;
     PackedSatCounters local;
     /** Per-branch histories: localHistBits <= 16, so one uint16

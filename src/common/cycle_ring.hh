@@ -266,38 +266,6 @@ class CycleRing
             cacheValid = false;
     }
 
-    /** Drop every pending event; future pushes are relative to
-     *  @p now (the refork cycle). */
-    void
-    clear(Cycles now)
-    {
-        if (ringCount != 0) {
-            auto wipe = [&](std::size_t p) {
-                bucketHead[p] = -1;
-                bucketTail[p] = -1;
-                return true;
-            };
-            scanBits(occW, 0, span, wipe);
-            std::fill(occW.begin(), occW.end(), 0);
-            ringCount = 0;
-        }
-        // Rebuild the free list over the whole pool (dropped and
-        // free nodes alike); a refork is rare enough that O(pool)
-        // is irrelevant.
-        for (std::size_t i = 0; i < poolNext.size(); ++i)
-            poolNext[i] = static_cast<std::int32_t>(i) + 1;
-        if (!poolNext.empty()) {
-            poolNext.back() = -1;
-            freeHead = 0;
-        } else {
-            freeHead = -1;
-        }
-        overflow = {};
-        drainedUpTo = now;
-        cachedNext = Cycles::max();
-        cacheValid = true;
-    }
-
   private:
     std::size_t span = 0;
     std::size_t posMask = 0;

@@ -50,19 +50,6 @@ struct ContestConfig
     TimePs syscallHandlerPs{20'000};
 
     /**
-     * Period of asynchronous external interrupts in picoseconds;
-     * 0 disables them. Interrupts use the paper's
-     * terminate-and-refork approach (Section 4.3): the designated
-     * core (core 0) services the interrupt, the redundant threads
-     * on the other cores are terminated, and all cores refork at
-     * the designated core's retired position.
-     */
-    TimePs interruptPeriodPs{};
-
-    /** Service time of one asynchronous interrupt. */
-    TimePs interruptHandlerPs{500'000};
-
-    /**
      * Deadlock watchdog: panic after this many simulated core ticks
      * without the retire frontier advancing. The budget counts
      * *simulated* ticks including fast-forwarded ones — an elided

@@ -131,26 +131,14 @@ class ResultFifo
      * counter past them. The source keeps retiring in order, so the
      * next push carries seq = headSeq_ + old size(); leaving the pop
      * counter at the old head would make that push look out of order
-     * and panic. Equivalent to seeking to the first un-pushed seq.
+     * and panic.
      */
     void
     clear()
     {
-        seekTo(headSeq_ + count);
-    }
-
-    /**
-     * Drop all buffered entries and move the pop counter to @p seq:
-     * used when the whole system reforks at a common stream position
-     * after an asynchronous interrupt (Section 4.3) — every source
-     * resumes retiring from @p seq, so contiguity is re-established.
-     */
-    void
-    seekTo(InstSeq seq)
-    {
+        headSeq_ += count;
         head = 0;
         count = 0;
-        headSeq_ = seq;
     }
 
   private:

@@ -49,26 +49,6 @@ ContestSystem::ContestSystem(std::vector<CoreConfig> core_configs,
         units[i]->setCore(cores[i].get());
     }
 
-    fatal_if(cfg.interruptPeriodPs > TimePs{}
-                 && cfg.interruptPeriodPs <= cfg.interruptHandlerPs,
-             "interrupt period (%llu ps) must exceed the handler "
-             "time (%llu ps) or the system never executes",
-             static_cast<unsigned long long>(cfg.interruptPeriodPs),
-             static_cast<unsigned long long>(
-                 cfg.interruptHandlerPs));
-    if (cfg.interruptPeriodPs > TimePs{}) {
-        // Prefix store counts let a refork reposition the
-        // synchronizing store queue in O(1).
-        storePrefix.reserve(trace->size() + 1);
-        std::uint32_t count = 0;
-        storePrefix.push_back(0);
-        for (std::size_t i = 0; i < trace->size(); ++i) {
-            if ((*trace)[i].op == OpClass::Store)
-                ++count;
-            storePrefix.push_back(count);
-        }
-    }
-
     // Section 4.1.4 static condition: the peak retirement rate of
     // any core should be sustainable by every other core.
     double max_peak = 0.0;
@@ -116,32 +96,6 @@ ContestSystem::noteRetire(CoreId core, InstSeq seq)
     lastLeader = core;
     ++leadCounts[core];
     ++frontier;
-}
-
-void
-ContestSystem::serviceInterrupt(TimePs now,
-                                std::vector<TimePs> &next_edge)
-{
-    // The designated core (core 0) listens for external interrupts.
-    // Stopping every redundant thread at the same point would need
-    // elaborate handshaking, so the paper terminates the
-    // non-designated threads, services the interrupt on the
-    // designated core, and reforks everyone at its position.
-    InstSeq refork_at = cores[0]->retired();
-    for (CoreId c = 0; c < cores.size(); ++c) {
-        if (units[c]->parked())
-            continue;
-        cores[c]->reforkTo(refork_at);
-        units[c]->reforkTo(refork_at);
-        next_edge[c] = now + cfg.interruptHandlerPs;
-    }
-    storeQ->reforkAll(
-        StoreSeq{storePrefix[static_cast<std::size_t>(refork_at.count())]});
-    ++interrupts;
-    inform("interrupt at %.1f ns: reforked all cores at "
-           "instruction %llu",
-           static_cast<double>(now) / psPerNs,
-           static_cast<unsigned long long>(refork_at));
 }
 
 void
@@ -197,28 +151,11 @@ ContestSystem::seqStep(RunState &rs)
     const CoreId pick = earliestEdge(rs.nextEdge);
     const TimePs t = rs.nextEdge[pick];
 
-    if (cfg.interruptPeriodPs > TimePs{} && t >= rs.nextInterrupt) {
-        serviceInterrupt(rs.nextInterrupt, rs.nextEdge);
-        rs.nextInterrupt += cfg.interruptPeriodPs;
-        return; // re-pick with the updated tick times
-    }
-
     cores[pick]->tick(t);
 
     Cycles skipped{};
-    if (!rs.noSkip && !cores[pick]->done()) {
-        Cycles max_skip = Cycles::max();
-        if (cfg.interruptPeriodPs > TimePs{}) {
-            // Every elided tick at t + i*period must precede
-            // the next interrupt edge; the first edge at or
-            // past it must be picked live so the service fires.
-            TimePs gap = rs.nextInterrupt - t;
-            max_skip = Cycles{
-                (gap.count() - 1)
-                / cores[pick]->periodPs().count()};
-        }
-        skipped = cores[pick]->skipIdleCycles(max_skip);
-    }
+    if (!rs.noSkip && !cores[pick]->done())
+        skipped = cores[pick]->skipIdleCycles(Cycles::max());
     rs.skipRec[pick] = RunState::SkipRecord{t, skipped};
     rs.nextEdge[pick] = t
                         + TimePs{cores[pick]->periodPs().count()
@@ -265,7 +202,6 @@ ContestSystem::run()
     RunState rs(n);
     rs.noSkip = simNoSkip();
     rs.parksSeen = parkEvents;
-    rs.nextInterrupt = cfg.interruptPeriodPs;
     while (!rs.finished)
         seqStep(rs);
     return collectResult(rs);
@@ -300,7 +236,6 @@ ContestSystem::collectResult(const RunState &rs)
     result.leadChanges = leadChanges;
     result.mergedStores = storeQ->mergedCount();
     result.exceptionsHandled = excCoord->handled();
-    result.interruptsHandled = interrupts;
 
     inform("contest finished: core %u ('%s') first at %.1f ns, "
            "IPT %.3f, %llu lead changes",

@@ -49,8 +49,6 @@ struct ContestResult
     StoreSeq mergedStores{};
     /** Exceptions handled by the rendezvous handler. */
     std::uint64_t exceptionsHandled = 0;
-    /** Asynchronous interrupts serviced (terminate-and-refork). */
-    std::uint64_t interruptsHandled = 0;
     /** Per-core energy estimate for the run. */
     std::vector<EnergyBreakdown> energy;
 
@@ -119,7 +117,7 @@ class ContestSystem
   private:
     /**
      * Mutable state of one run(): the per-core next clock edges, the
-     * eager-skip records, finish/interrupt/watchdog bookkeeping.
+     * eager-skip records, finish/watchdog bookkeeping.
      * Only seqStep advances it.
      */
     struct RunState
@@ -140,7 +138,6 @@ class ContestSystem
 
         bool noSkip = false;
         std::uint64_t parksSeen = 0;
-        TimePs nextInterrupt{};
 
         TimePs finishTime{};
         CoreId finisher = 0;
@@ -152,9 +149,8 @@ class ContestSystem
         std::uint64_t stuckTicks = 0;
     };
 
-    /** One step of the event loop: service a due interrupt or tick
-     *  the earliest core, then do the park / finish / watchdog
-     *  bookkeeping. */
+    /** One step of the event loop: tick the earliest core, then do
+     *  the park / finish / watchdog bookkeeping. */
     void seqStep(RunState &rs);
 
     /** Rewind the part of @p c's last skip window ordering at or
@@ -183,16 +179,6 @@ class ContestSystem
     CoreId lastLeader = 0;
     std::uint64_t leadChanges = 0;
     std::vector<std::uint64_t> leadCounts;
-    /** @} */
-
-    /** @name Asynchronous interrupts (Section 4.3) */
-    /** @{ */
-    /** Terminate-and-refork all cores at the designated core's
-     *  position at global time @p now. */
-    void serviceInterrupt(TimePs now, std::vector<TimePs> &next_edge);
-    /** Stores preceding each stream position (prefix counts). */
-    std::vector<std::uint32_t> storePrefix;
-    std::uint64_t interrupts = 0;
     /** @} */
 
     /** Parks observed so far; run() compares against its own count

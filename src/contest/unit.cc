@@ -23,7 +23,6 @@ CoreContestUnit::onFetch(InstSeq seq, TimePs now)
     FetchOutcome out;
     if (stats_.saturated)
         return out;
-    ++fifoGen;
 
     for (std::size_t c = 0; c < fifos.size(); ++c) {
         if (c == self)
@@ -50,15 +49,6 @@ CoreContestUnit::externalBranchResolve(InstSeq seq, TimePs)
     if (stats_.saturated || !cfg.earlyBranchResolve)
         return std::nullopt;
 
-    // Re-polled with no FIFO change since the last answer: the first
-    // poll already performed every discard and arrival times are
-    // fixed at push, so the remembered answer is exact.
-    if (pollGen == fifoGen && pollSeq == seq) {
-        earlyResolveSrc = pollBestSrc;
-        earlyResolveSeq = seq;
-        return pollBest;
-    }
-
     std::optional<TimePs> best;
     std::optional<CoreId> best_src;
     for (std::size_t c = 0; c < fifos.size(); ++c) {
@@ -80,10 +70,6 @@ CoreContestUnit::externalBranchResolve(InstSeq seq, TimePs)
     // a result that arrives later (or not at all).
     earlyResolveSrc = best_src;
     earlyResolveSeq = seq;
-    pollGen = fifoGen;
-    pollSeq = seq;
-    pollBest = best;
-    pollBestSrc = best_src;
     return best;
 }
 
@@ -105,7 +91,6 @@ CoreContestUnit::confirmEarlyResolve(InstSeq seq, TimePs now)
              "confirmEarlyResolve(%llu): source %u no longer holds "
              "the arrived branch",
              static_cast<unsigned long long>(seq), *earlyResolveSrc);
-    ++fifoGen;
     fifo.pop();
     ++stats_.paired;
     earlyResolveSrc.reset();
@@ -154,14 +139,8 @@ CoreContestUnit::receiveResult(CoreId src, InstSeq seq,
     if (stats_.saturated)
         return;
     panic_if(src == self, "core %u received its own result", self);
-    // Only a push that lands at the head (empty FIFO) can change a
-    // branch-resolve poll's answer; a deeper entry is invisible
-    // until the head moves (every head move bumps fifoGen itself).
-    if (fifos[src].empty())
-        ++fifoGen;
     if (fifos[src].push(seq, arrival))
         return;
-    ++fifoGen; // overflow handling below pops and discards
 
     // The FIFO is full. If the buffered entries are already behind
     // this core's fetch counter they are late results that would be
@@ -191,22 +170,12 @@ CoreContestUnit::receiveResult(CoreId src, InstSeq seq,
 }
 
 void
-CoreContestUnit::reforkTo(InstSeq seq)
-{
-    ++fifoGen;
-    earlyResolveSrc.reset();
-    for (auto &fifo : fifos)
-        fifo.seekTo(seq);
-}
-
-void
 CoreContestUnit::park(TimePs now)
 {
     if (stats_.saturated)
         return;
     stats_.saturated = true;
     stats_.parkedAt = now;
-    ++fifoGen;
     earlyResolveSrc.reset();
     for (auto &fifo : fifos)
         fifo.clear();

@@ -83,10 +83,6 @@ class CoreContestUnit : public ContestHooks
     /** Late-bind the core this unit serves (for its fetch counter). */
     void setCore(const OooCore *core_model) { core = core_model; }
 
-    /** System-wide refork (asynchronous interrupt): every FIFO is
-     *  emptied and its pop counter moved to the refork position. */
-    void reforkTo(InstSeq seq);
-
   private:
     void park(TimePs now);
 
@@ -98,30 +94,13 @@ class CoreContestUnit : public ContestHooks
     std::vector<ResultFifo> fifos;
     UnitStats stats_;
     /** Source core whose result won the last externalBranchResolve,
-     *  armed until the core confirms (or the unit parks/reforks).
+     *  armed until the core confirms (or the unit parks).
      *  confirmEarlyResolve must pop exactly this FIFO: another
      *  source may hold the same head seq with a later (or still
      *  in-flight) arrival, and popping it would credit a result the
      *  core never saw. */
     std::optional<CoreId> earlyResolveSrc;
     InstSeq earlyResolveSeq{};
-    /** @name Branch-resolve poll memo
-     *
-     * The core polls externalBranchResolve every cycle it is stalled
-     * on a branch, but the answer only changes when some FIFO
-     * changes: between polls the scan is idempotent (the first poll
-     * performed every discard, and arrival times are fixed at push).
-     * fifoGen counts FIFO mutations; a poll for the same seq at the
-     * same generation replays the remembered answer without
-     * rescanning.
-     */
-    /** @{ */
-    std::uint64_t fifoGen = 0;
-    std::uint64_t pollGen = ~std::uint64_t{0};
-    InstSeq pollSeq{};
-    std::optional<TimePs> pollBest;
-    std::optional<CoreId> pollBestSrc;
-    /** @} */
 };
 
 } // namespace contest

@@ -43,9 +43,9 @@ struct CoreConfig
     /** Clock period in picoseconds. */
     TimePs clockPeriodPs{300};
     /** L1 data cache geometry (latency in cycles). */
-    CacheConfig l1d{1024, 2, 32, Cycles{2}, false, true};
+    CacheConfig l1d{1024, 2, 32, Cycles{2}, false};
     /** Private L2 cache geometry (latency in cycles). */
-    CacheConfig l2{1024, 8, 128, Cycles{12}, false, true};
+    CacheConfig l2{1024, 8, 128, Cycles{12}, false};
     /** Load-store queue size. */
     unsigned lsqSize = 128;
     /** @} */
@@ -81,7 +81,7 @@ struct CoreConfig
     /** L1 instruction cache geometry (when modeled). The synthetic
      *  workloads' code regions total ~100KB per benchmark, so the
      *  default is sized like a shared-era 64KB L1I. */
-    CacheConfig l1i{512, 2, 64, Cycles{1}, false, true};
+    CacheConfig l1i{512, 2, 64, Cycles{1}, false};
     /** @} */
 
     /** Clock frequency in GHz, derived from the period. */

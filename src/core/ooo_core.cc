@@ -283,52 +283,6 @@ OooCore::reapStaleBefore(InstSeq before)
 }
 
 void
-OooCore::reforkTo(InstSeq seq)
-{
-    fatal_if(seq > trace->endSeq(),
-             "reforkTo(%llu) beyond trace end",
-             static_cast<unsigned long long>(seq));
-    fqOcc = 0;
-    std::fill(fqInjectedW.begin(), fqInjectedW.end(), 0);
-    robOcc = 0;
-    robHeadSeq = seq;
-    std::fill(robIssuedW.begin(), robIssuedW.end(), 0);
-    std::fill(robCompletedW.begin(), robCompletedW.end(), 0);
-    std::fill(robInjectedW.begin(), robInjectedW.end(), 0);
-    std::fill(readyW.begin(), readyW.end(), 0);
-    std::fill(robIqSlot.begin(), robIqSlot.end(), -1);
-    std::fill(robFirstWaiter.begin(), robFirstWaiter.end(), -1);
-    for (int i = 0; i < static_cast<int>(cfg.iqSize); ++i)
-        iqFreeNext[i] = i + 1 < static_cast<int>(cfg.iqSize)
-            ? i + 1 : -1;
-    std::fill(iqNextWaiter0.begin(), iqNextWaiter0.end(), -1);
-    std::fill(iqNextWaiter1.begin(), iqNextWaiter1.end(), -1);
-    std::fill(iqPend0W.begin(), iqPend0W.end(), 0);
-    std::fill(iqPend1W.begin(), iqPend1W.end(), 0);
-    std::fill(iqInjectedW.begin(), iqInjectedW.end(), 0);
-    std::fill(iqInUseW.begin(), iqInUseW.end(), 0);
-    iqFreeHead = 0;
-    iqCount = 0;
-    timedReady.clear(curCycle);
-    staleSeqs.clear();
-    staleSlots.clear();
-    completions.clear(curCycle);
-    mshrReleases.clear(curCycle);
-    readyCount = 0;
-    lsqOcc = 0;
-    stalledBranch.reset();
-    earlyResolved.reset();
-    stalledSyscall = false;
-    syscallResumePs.reset();
-    lastSkip = SkipWindow{};
-    renameInFlightW = 0;
-    fetchSeq = seq;
-    numRetired = seq;
-    // The refilled pipeline starts fetching next cycle.
-    fetchResumeAt = curCycle + 1;
-}
-
-void
 OooCore::tick(TimePs now)
 {
     if (done())

@@ -143,15 +143,6 @@ class OooCore
     /** Cycles elided by skipIdleCycles over the whole run. */
     Cycles idleSkipped() const { return skippedTotal; }
 
-    /**
-     * Squash all in-flight work and restart execution at stream
-     * position @p seq — the terminate-and-refork step of the
-     * paper's asynchronous interrupt handling (Section 4.3). Cache
-     * and predictor state is preserved (it is architectural
-     * history, not thread context).
-     */
-    void reforkTo(InstSeq seq);
-
     /** Has the whole trace retired on this core? */
     bool done() const { return numRetired == trace->endSeq(); }
 
@@ -423,7 +414,6 @@ class OooCore
 
     /** Syscall commit-block state. */
     std::optional<TimePs> syscallResumePs;
-    bool syscallHandled = false;
 
     /** @name Idle-skip bookkeeping */
     /** @{ */

@@ -37,9 +37,9 @@ entry(const char *name, unsigned mem_cycles, unsigned front_end,
     c.schedDepth = Cycles{sched};
     c.clockPeriodPs = TimePs{period_ps};
     c.l1d = CacheConfig{l1_sets, l1_assoc, l1_block, Cycles{l1_lat},
-                        false, true};
+                        false};
     c.l2 = CacheConfig{l2_sets, l2_assoc, l2_block, Cycles{l2_lat},
-                       false, true};
+                       false};
     c.lsqSize = lsq;
     // Cache ports scale with machine width, as any balanced design
     // (and the annealer that produced these columns) would require.

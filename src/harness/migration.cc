@@ -14,56 +14,42 @@ simulateMigration(const std::vector<TimePs> &a,
 {
     fatal_if(config.regionsPerBlock == 0,
              "simulateMigration: zero block size");
-    std::size_t n = std::min(a.size(), b.size());
+    const std::size_t n = std::min(a.size(), b.size());
+    const bool history = config.policy == MigrationPolicy::History;
 
     MigrationResult result;
     std::uint64_t blocks_on_a = 0;
     std::uint64_t blocks = 0;
 
-    // Execution starts on whichever core the policy would pick for
-    // the first block (oracle) or core A (history, no past yet).
-    int current = 0;
-    bool first = true;
-    TimePs prev_ta{};
-    TimePs prev_tb{};
-
+    // The oracle runs each block on its faster core, and the first
+    // block's pick costs no migration. History runs each block on
+    // the previous block's winner, and the first (no past yet) on A.
+    bool on_b = false;
+    bool a_won_last = true;
     for (std::size_t start = 0; start < n;
          start += config.regionsPerBlock) {
-        std::size_t end =
+        const std::size_t end =
             std::min(n, start + config.regionsPerBlock);
-        TimePs ta{};
-        TimePs tb{};
+        TimePs block[2]{};
         for (std::size_t i = start; i < end; ++i) {
-            ta += a[i];
-            tb += b[i];
+            block[0] += a[i];
+            block[1] += b[i];
         }
-
-        int want = current;
-        switch (config.policy) {
-          case MigrationPolicy::Oracle:
-            want = ta <= tb ? 0 : 1;
-            break;
-          case MigrationPolicy::History:
-            if (first)
-                want = 0;
-            else
-                want = prev_ta <= prev_tb ? 0 : 1;
-            break;
-        }
-
-        if (!first && want != current) {
-            result.totalPs += config.migrationPenaltyPs;
-            ++result.migrations;
-        }
-        current = want;
-        first = false;
-
-        result.totalPs += current == 0 ? ta : tb;
-        blocks_on_a += current == 0 ? 1 : 0;
+        const bool a_wins = block[0] <= block[1];
+        const bool want_b = history ? !a_won_last : !a_wins;
+        // Count and index, never branch on the pick: at fine
+        // granularity the winner flips unpredictably, and Figure 1
+        // and the best-pair search run the free oracle on every
+        // pair.
+        result.migrations += blocks != 0 && want_b != on_b;
+        result.totalPs += block[want_b];
+        blocks_on_a += !want_b;
         ++blocks;
-        prev_ta = ta;
-        prev_tb = tb;
+        on_b = want_b;
+        a_won_last = a_wins;
     }
+    // Every migration pays the same penalty.
+    result.totalPs += config.migrationPenaltyPs * result.migrations;
 
     result.shareA = blocks
         ? static_cast<double>(blocks_on_a)

@@ -1,9 +1,5 @@
 #include "harness/region_log.hh"
 
-#include <algorithm>
-
-#include "common/log.hh"
-
 namespace contest
 {
 
@@ -14,31 +10,6 @@ RegionLog::total() const
     for (TimePs t : times)
         sum += t;
     return sum;
-}
-
-TimePs
-fuseRegionTimes(const std::vector<TimePs> &a,
-                const std::vector<TimePs> &b,
-                std::uint64_t regions_per_block)
-{
-    fatal_if(regions_per_block == 0,
-             "fuseRegionTimes: zero block size");
-    std::size_t n = std::min(a.size(), b.size());
-
-    TimePs fused{};
-    for (std::size_t start = 0; start < n;
-         start += regions_per_block) {
-        std::size_t end =
-            std::min(n, start + regions_per_block);
-        TimePs ta{};
-        TimePs tb{};
-        for (std::size_t i = start; i < end; ++i) {
-            ta += a[i];
-            tb += b[i];
-        }
-        fused += std::min(ta, tb);
-    }
-    return fused;
 }
 
 } // namespace contest

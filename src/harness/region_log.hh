@@ -1,15 +1,14 @@
 /**
  * @file
- * Region logging and oracle granularity fusion for the paper's
- * Section 2 limit study (Figure 1).
+ * Region logging for the paper's Section 2 limit study (Figure 1).
  *
  * A RegionLog records the simulated time spent retiring each
- * consecutive 20-instruction region of a run. fuseRegionTimes()
- * then models oracle switching between two configurations at a
- * given granularity: each granularity-sized block of instructions
- * is charged the time of whichever configuration retired it faster
- * (clock periods already folded in, since the log stores wall time,
- * not cycles).
+ * consecutive 20-instruction region of a run. simulateMigration()
+ * (harness/migration.hh) with a free oracle then models oracle
+ * switching between two configurations at a given granularity: each
+ * granularity-sized block of instructions is charged the time of
+ * whichever configuration retired it faster (clock periods already
+ * folded in, since the log stores wall time, not cycles).
  */
 
 #ifndef CONTEST_HARNESS_REGION_LOG_HH
@@ -59,24 +58,13 @@ class RegionLog
     /** Total time over all closed regions. */
     TimePs total() const;
 
-    /** The raw series (for fusion). */
+    /** The raw series (for oracle switching). */
     const std::vector<TimePs> &series() const { return times; }
 
   private:
     std::vector<TimePs> times;
     TimePs regionStart{};
 };
-
-/**
- * Oracle-fused execution time of two runs at a switching
- * granularity of @p regions_per_block regions (i.e.
- * regions_per_block * 20 instructions).
- *
- * @return total fused time in picoseconds
- */
-TimePs fuseRegionTimes(const std::vector<TimePs> &a,
-                       const std::vector<TimePs> &b,
-                       std::uint64_t regions_per_block);
 
 } // namespace contest
 

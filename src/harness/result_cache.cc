@@ -89,8 +89,7 @@ appendCacheGeom(std::string &key, std::string_view tag,
                 const CacheConfig &c)
 {
     appendField(key, tag, c.sets, c.assoc, c.blockBytes,
-                c.latency.count(), c.writeThrough ? 1 : 0,
-                c.writeAllocate ? 1 : 0);
+                c.latency.count(), c.writeThrough ? 1 : 0);
 }
 
 /** Little-endian binary writer. */
@@ -269,9 +268,9 @@ appendCoreConfig(std::string &key, const CoreConfig &core)
     key += bw;
     appendField(key, "btbmiss=", core.btbMissPenalty.count());
     appendField(key, "syscall=", core.syscallHandlerCycles.count());
-    appendField(key, "bpred=", static_cast<int>(core.bpred.kind),
-                core.bpred.tableBits, core.bpred.historyBits,
-                core.bpred.localHistBits, core.bpred.localTableBits);
+    appendField(key, "bpred=", core.bpred.tableBits,
+                core.bpred.historyBits, core.bpred.localHistBits,
+                core.bpred.localTableBits);
     appendField(key, "btb=", core.btb.sets, core.btb.assoc);
     appendField(key, "icache=", core.modelICache ? 1 : 0);
     appendCacheGeom(key, "l1i=", core.l1i);
@@ -338,8 +337,6 @@ ResultCache::contestKey(const std::string &bench,
     appendField(key, "early=", config.earlyBranchResolve ? 1 : 0);
     appendField(key, "park=", config.parkSaturatedLaggers ? 1 : 0);
     appendField(key, "exc=", config.syscallHandlerPs.count());
-    appendField(key, "intp=", config.interruptPeriodPs.count());
-    appendField(key, "inth=", config.interruptHandlerPs.count());
     appendField(key, "wd=", config.deadlockStuckTicks);
     appendField(key, "ncores=", cores.size());
     for (std::size_t i = 0; i < cores.size(); ++i) {
@@ -473,7 +470,6 @@ ResultCache::loadContest(const std::string &key,
             out.leadChanges = r.u64();
             out.mergedStores = StoreSeq{r.u64()};
             out.exceptionsHandled = r.u64();
-            out.interruptsHandled = r.u64();
             for (auto &e : out.energy)
                 readEnergy(r, e);
         }))
@@ -509,7 +505,6 @@ ResultCache::storeContest(const std::string &key,
         w.u64(result.leadChanges);
         w.u64(result.mergedStores.count());
         w.u64(result.exceptionsHandled);
-        w.u64(result.interruptsHandled);
         for (const auto &e : result.energy)
             writeEnergy(w, e);
     });

@@ -36,7 +36,7 @@ class ResultCache
   public:
     /** Bumped whenever the entry format or simulation semantics
      *  change; old entries then miss instead of deserializing. */
-    static constexpr int currentVersion = 1;
+    static constexpr int currentVersion = 2;
 
     /**
      * @param cache_dir directory for entries (created on first
@@ -63,7 +63,7 @@ class ResultCache
      * Canonical key of a contested run: the benchmark/seed/length
      * workload identity, every ContestConfig knob, and the ordered
      * list of contesting core configurations (order matters — core 0
-     * is the interrupt-designated core and tie-break winner).
+     * is the tie-break winner).
      */
     static std::string contestKey(const std::string &bench,
                                   const std::vector<CoreConfig> &cores,

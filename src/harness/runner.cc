@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/log.hh"
+#include "harness/migration.hh"
 
 namespace contest
 {
@@ -238,8 +239,8 @@ Runner::bestContestingPair(const std::string &bench,
         single(bench, palette[i].name);
     });
 
-    // Rank all pairs by the oracle fusion of their region logs at a
-    // fine granularity (the Figure 1 estimate of fine-grain
+    // Rank all pairs by free oracle switching over their region logs
+    // at a fine granularity (the Figure 1 estimate of fine-grain
     // switching benefit), then contest the most promising ones.
     struct Ranked
     {
@@ -252,8 +253,11 @@ Runner::bestContestingPair(const std::string &bench,
         const auto &ra = single(bench, palette[a].name);
         for (std::size_t b = a + 1; b < palette.size(); ++b) {
             const auto &rb = single(bench, palette[b].name);
-            TimePs fused = fuseRegionTimes(ra.regions->series(),
-                                           rb.regions->series(), 4);
+            TimePs fused =
+                simulateMigration(ra.regions->series(),
+                                  rb.regions->series(),
+                                  {4, TimePs{}, MigrationPolicy::Oracle})
+                    .totalPs;
             std::uint64_t insts =
                 std::min(ra.regions->size(), rb.regions->size())
                 * RegionLog::regionInsts;

@@ -64,11 +64,7 @@ Cache::access(Addr addr, bool is_write)
 
     ++numMisses;
 
-    // Write misses allocate only under write-allocate; a
-    // non-allocating write goes straight to the next level.
-    if (is_write && !cfg.writeAllocate)
-        return result;
-
+    // Every miss allocates, write misses included.
     if (victim->valid && victim->dirty)
         result.dirtyEviction = true;
     victim->valid = true;

@@ -26,7 +26,6 @@ struct CacheConfig
     unsigned blockBytes = 64;   //!< line size (power of two)
     Cycles latency{2};         //!< access latency in core cycles
     bool writeThrough = false;  //!< write-through (no dirty lines)
-    bool writeAllocate = true;  //!< allocate on write miss
 
     /** Total capacity in bytes. */
     std::uint64_t

@@ -83,22 +83,6 @@ SyncStoreQueue::dropCore(CoreId core)
 }
 
 void
-SyncStoreQueue::reforkAll(StoreSeq store_count)
-{
-    panic_if(store_count < numMerged,
-             "SyncStoreQueue: refork point %llu precedes the merge "
-             "frontier %llu",
-             static_cast<unsigned long long>(store_count.count()),
-             static_cast<unsigned long long>(numMerged.count()));
-    for (std::size_t c = 0; c < performed.size(); ++c)
-        if (active[c])
-            performed[c] = store_count;
-    // Stores recorded beyond the refork point stay buffered: the
-    // re-executed instances re-verify against them.
-    tryMerge();
-}
-
-void
 SyncStoreQueue::tryMerge()
 {
     // The merge frontier is the minimum progress over active cores.

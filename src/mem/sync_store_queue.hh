@@ -62,14 +62,6 @@ class SyncStoreQueue
      */
     void dropCore(CoreId core);
 
-    /**
-     * System-wide refork after an asynchronous interrupt: every
-     * active core resumes the store stream at position
-     * @p store_count (the number of stores preceding the refork
-     * point). Must not precede the merge frontier.
-     */
-    void reforkAll(StoreSeq store_count);
-
     /** Number of merged stores released to the shared level. */
     StoreSeq mergedCount() const { return numMerged; }
 

@@ -12,34 +12,33 @@ namespace contest
 namespace
 {
 
-TEST(SatCounter, SaturatesBothWays)
+TEST(PackedSatCounters, SaturatesBothWays)
 {
-    SatCounter2 c(0);
-    EXPECT_FALSE(c.taken());
-    c.dec();
-    EXPECT_EQ(c.raw(), 0);
-    c.inc();
-    c.inc();
-    EXPECT_TRUE(c.taken());
-    c.inc();
-    c.inc();
-    EXPECT_EQ(c.raw(), 3);
-    c.train(false);
-    EXPECT_EQ(c.raw(), 2);
-    EXPECT_TRUE(c.taken());
+    // 40 counters span two words; counter 33 sits in the second.
+    PackedSatCounters c;
+    c.assign(40, 0);
+    const std::size_t i = 33;
+    EXPECT_FALSE(c.taken(i));
+    c.train(i, false);
+    EXPECT_EQ(c.raw(i), 0);
+    c.train(i, true);
+    c.train(i, true);
+    EXPECT_TRUE(c.taken(i));
+    c.train(i, true);
+    c.train(i, true);
+    EXPECT_EQ(c.raw(i), 3);
+    c.train(i, false);
+    EXPECT_EQ(c.raw(i), 2);
+    EXPECT_TRUE(c.taken(i));
+    // Training one counter leaves its packed neighbours alone.
+    EXPECT_EQ(c.raw(i - 1), 0);
+    EXPECT_EQ(c.raw(i + 1), 0);
+    EXPECT_EQ(c.raw(31), 0);
 }
 
-BPredConfig
-makeConfig(BPredConfig::Kind kind)
+TEST(Tournament, LearnsStrongBias)
 {
-    BPredConfig cfg;
-    cfg.kind = kind;
-    return cfg;
-}
-
-TEST(Bimodal, LearnsStrongBias)
-{
-    BranchPredictor bp(makeConfig(BPredConfig::Kind::Bimodal));
+    BranchPredictor bp(BPredConfig{});
     for (int i = 0; i < 1000; ++i)
         bp.predictAndTrain(0x400000, true);
     // After warmup, an always-taken branch is always predicted.
@@ -49,18 +48,11 @@ TEST(Bimodal, LearnsStrongBias)
     EXPECT_EQ(bp.mispredicts(), before);
 }
 
-TEST(Bimodal, CannotLearnAlternation)
+TEST(Tournament, LearnsAlternation)
 {
-    BranchPredictor bp(makeConfig(BPredConfig::Kind::Bimodal));
-    for (int i = 0; i < 2000; ++i)
-        bp.predictAndTrain(0x400000, i % 2 == 0);
-    // T,N,T,N drives a 2-bit counter to ~50% mispredictions.
-    EXPECT_GT(bp.mispredictRate(), 0.4);
-}
-
-TEST(GShare, LearnsAlternationThroughHistory)
-{
-    BranchPredictor bp(makeConfig(BPredConfig::Kind::GShare));
+    // T,N,T,N drives a lone 2-bit counter to ~50% mispredictions;
+    // the history-indexed components learn it exactly.
+    BranchPredictor bp(BPredConfig{});
     for (int i = 0; i < 4000; ++i)
         bp.predictAndTrain(0x400000, i % 2 == 0);
     std::uint64_t before = bp.mispredicts();
@@ -69,11 +61,12 @@ TEST(GShare, LearnsAlternationThroughHistory)
     EXPECT_EQ(bp.mispredicts(), before);
 }
 
-TEST(Local, LearnsLoopPeriodsDespiteGlobalNoise)
+TEST(Tournament, LearnsLoopPeriodDespiteGlobalNoise)
 {
-    BranchPredictor bp(makeConfig(BPredConfig::Kind::Local));
+    BranchPredictor bp(BPredConfig{});
     // A loop branch with period 5 (T,T,T,T,N) interleaved with a
-    // 50/50 noise branch that would wreck any global history.
+    // 50/50 noise branch that would wreck any global history: the
+    // local component and the choice table must carry it.
     std::uint64_t noise_state = 12345;
     for (int i = 0; i < 6000; ++i) {
         bp.predictAndTrain(0x400000, (i % 5) != 4);
@@ -91,30 +84,24 @@ TEST(Local, LearnsLoopPeriodsDespiteGlobalNoise)
     EXPECT_LT(rate, 0.02);
 }
 
-TEST(Tournament, AtLeastAsGoodAsComponentsOnMixedStream)
+TEST(Tournament, StaysAccurateOnMixedStream)
 {
-    auto run = [](BPredConfig::Kind kind) {
-        BranchPredictor bp(makeConfig(kind));
-        std::uint64_t state = 777;
-        for (int i = 0; i < 20000; ++i) {
-            bp.predictAndTrain(0x10, (i % 3) != 2);   // loop period 3
-            bp.predictAndTrain(0x20, true);           // biased
-            state = state * 6364136223846793005ULL + 1;
-            bp.predictAndTrain(0x30, (state >> 62) & 1); // random
-        }
-        return bp.mispredictRate();
-    };
-    double tournament = run(BPredConfig::Kind::Tournament);
-    double bimodal = run(BPredConfig::Kind::Bimodal);
-    EXPECT_LT(tournament, bimodal + 0.01);
+    BranchPredictor bp(BPredConfig{});
+    std::uint64_t state = 777;
+    for (int i = 0; i < 20000; ++i) {
+        bp.predictAndTrain(0x10, (i % 3) != 2);   // loop period 3
+        bp.predictAndTrain(0x20, true);           // biased
+        state = state * 6364136223846793005ULL + 1;
+        bp.predictAndTrain(0x30, (state >> 62) & 1); // random
+    }
     // Random branch caps us near 1/3 * 1/2; the other two should be
     // nearly free.
-    EXPECT_LT(tournament, 0.22);
+    EXPECT_LT(bp.mispredictRate(), 0.22);
 }
 
 TEST(Predictor, CountsLookups)
 {
-    BranchPredictor bp(makeConfig(BPredConfig::Kind::Tournament));
+    BranchPredictor bp(BPredConfig{});
     for (int i = 0; i < 50; ++i)
         bp.predictAndTrain(0x40, true);
     EXPECT_EQ(bp.lookups(), 50u);

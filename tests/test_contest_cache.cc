@@ -65,7 +65,6 @@ class ContestCacheTest : public ::testing::Test
         r.leadChanges = 13;
         r.mergedStores = StoreSeq{4321};
         r.exceptionsHandled = 3;
-        r.interruptsHandled = 2;
         r.energy.resize(2);
         r.energy[0].pipelineNj = 2.5;
         r.energy[1].contestNj = 0.75;
@@ -155,7 +154,6 @@ TEST_F(ContestCacheTest, StoreThenLoadRoundTrips)
     EXPECT_EQ(loaded.leadChanges, stored.leadChanges);
     EXPECT_EQ(loaded.mergedStores, stored.mergedStores);
     EXPECT_EQ(loaded.exceptionsHandled, stored.exceptionsHandled);
-    EXPECT_EQ(loaded.interruptsHandled, stored.interruptsHandled);
     ASSERT_EQ(loaded.energy.size(), 2u);
     EXPECT_EQ(loaded.energy[0].pipelineNj, stored.energy[0].pipelineNj);
     EXPECT_EQ(loaded.energy[1].contestNj, stored.energy[1].contestNj);

@@ -32,8 +32,8 @@ testConfig()
     c.wakeupLatency = Cycles{1};
     c.schedDepth = Cycles{2};
     c.clockPeriodPs = TimePs{250};
-    c.l1d = CacheConfig{64, 2, 64, Cycles{2}, false, true};
-    c.l2 = CacheConfig{256, 4, 64, Cycles{8}, false, true};
+    c.l1d = CacheConfig{64, 2, 64, Cycles{2}, false};
+    c.l2 = CacheConfig{256, 4, 64, Cycles{8}, false};
     c.lsqSize = 32;
     c.l1dPorts = 2;
     c.mshrs = 8;
@@ -432,7 +432,7 @@ TEST(Core, ICacheMissesStallFetch)
 
     auto with_ic = testConfig();
     with_ic.modelICache = true;
-    with_ic.l1i = CacheConfig{8, 1, 64, Cycles{1}, false, true}; // 512B
+    with_ic.l1i = CacheConfig{8, 1, 64, Cycles{1}, false}; // 512B
     OooCore small_ic(with_ic, trace);
     Cycles small_cycles = runToCompletion(small_ic);
     EXPECT_GT(small_ic.stats().icacheMisses, 100u);
@@ -450,7 +450,7 @@ TEST(Core, LargeICacheApproachesPerfect)
     with_ic.modelICache = true;
     // Big enough for the whole synthetic code footprint.
     // High associativity absorbs the staggered phase code regions.
-    with_ic.l1i = CacheConfig{512, 8, 64, Cycles{1}, false, true}; // 256KB
+    with_ic.l1i = CacheConfig{512, 8, 64, Cycles{1}, false}; // 256KB
     OooCore warm(with_ic, trace);
     Cycles warm_cycles = runToCompletion(warm);
     // The resident code working set keeps the miss rate low.

@@ -173,10 +173,10 @@ TEST(Annealer, TechnologyModelTradesFrequencyForStructures)
 TEST(Annealer, CacheLatencyFollowsCapacity)
 {
     CoreConfig c;
-    c.l1d = CacheConfig{128, 1, 32, Cycles{1}, false, true}; // 4KB
+    c.l1d = CacheConfig{128, 1, 32, Cycles{1}, false}; // 4KB
     applyTechnologyModel(c);
     Cycles small_lat = c.l1d.latency;
-    c.l1d = CacheConfig{16384, 4, 64, Cycles{1}, false, true}; // 4MB
+    c.l1d = CacheConfig{16384, 4, 64, Cycles{1}, false}; // 4MB
     applyTechnologyModel(c);
     EXPECT_GT(c.l1d.latency, small_lat);
 }

@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for the experiment harness: region logs, oracle
- * granularity fusion, the caching runner, and best-pair search.
+ * Unit tests for the experiment harness: region logs, the caching
+ * runner, and best-pair search.
  */
 
 #include <gtest/gtest.h>
@@ -29,26 +29,6 @@ TEST(RegionLog, ClosesEveryTwentyInstructions)
     for (std::size_t i = 0; i < log.size(); ++i)
         EXPECT_EQ(log[i], 200u); // 20 retirements x 10 ps
     EXPECT_EQ(log.total(), 1000u);
-}
-
-TEST(Fusion, PicksTheFasterSeriesPerBlock)
-{
-    // Config A is fast in even regions, B in odd regions.
-    std::vector<TimePs> a{TimePs{10}, TimePs{100}, TimePs{10}, TimePs{100}};
-    std::vector<TimePs> b{TimePs{100}, TimePs{10}, TimePs{100}, TimePs{10}};
-    // Granularity 1 region: oracle gets 10 everywhere.
-    EXPECT_EQ(fuseRegionTimes(a, b, 1), 40u);
-    // Granularity 2 regions: each block is 110 on both.
-    EXPECT_EQ(fuseRegionTimes(a, b, 2), 220u);
-    // Whole-run granularity: min(220, 220).
-    EXPECT_EQ(fuseRegionTimes(a, b, 4), 220u);
-}
-
-TEST(Fusion, HandlesUnequalLengths)
-{
-    std::vector<TimePs> a{TimePs{10}, TimePs{10}, TimePs{10}};
-    std::vector<TimePs> b{TimePs{5}, TimePs{5}};
-    EXPECT_EQ(fuseRegionTimes(a, b, 1), 10u);
 }
 
 TEST(Runner, CachesSingleRuns)

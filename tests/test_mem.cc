@@ -103,15 +103,6 @@ TEST(Cache, WriteThroughNeverDirty)
     EXPECT_FALSE(r.dirtyEviction);
 }
 
-TEST(Cache, NoWriteAllocateSkipsFill)
-{
-    auto cfg = tinyCache(4, 1, 64, 1);
-    cfg.writeAllocate = false;
-    Cache c(cfg);
-    c.access(0x000, true); // miss, not allocated
-    EXPECT_FALSE(c.access(0x000, false).hit);
-}
-
 TEST(Cache, SetWriteThroughClearsDirtyBits)
 {
     Cache c(tinyCache(1, 1, 64, 1));

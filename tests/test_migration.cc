@@ -1,16 +1,13 @@
 /**
  * @file
- * Unit tests for the migrational-baseline evaluator and the
- * asynchronous-interrupt (terminate-and-refork) machinery.
+ * Unit tests for the migrational-baseline evaluator, including the
+ * free oracle that Figure 1 and the best-pair search rank pairs by.
  */
 
 #include <gtest/gtest.h>
 
-#include "contest/system.hh"
-#include "core/palette.hh"
 #include "harness/migration.hh"
 #include "harness/runner.hh"
-#include "trace/generator.hh"
 
 namespace contest
 {
@@ -30,6 +27,36 @@ TEST(Migration, OracleSwitchesWhenProfitable)
     EXPECT_EQ(r.totalPs, 80u); // 4 blocks x 20 ps each
     EXPECT_EQ(r.migrations, 3u);
     EXPECT_DOUBLE_EQ(r.shareA, 0.5);
+}
+
+/** Free oracle switching at @p regions_per_block regions. */
+TimePs
+freeOracle(const std::vector<TimePs> &a, const std::vector<TimePs> &b,
+           std::uint64_t regions_per_block)
+{
+    return simulateMigration(
+               a, b, {regions_per_block, TimePs{}, MigrationPolicy::Oracle})
+        .totalPs;
+}
+
+TEST(Migration, FreeOraclePicksTheFasterSeriesPerBlock)
+{
+    // Config A is fast in even regions, B in odd regions.
+    std::vector<TimePs> a{TimePs{10}, TimePs{100}, TimePs{10}, TimePs{100}};
+    std::vector<TimePs> b{TimePs{100}, TimePs{10}, TimePs{100}, TimePs{10}};
+    // Granularity 1 region: the oracle gets 10 everywhere.
+    EXPECT_EQ(freeOracle(a, b, 1), 40u);
+    // Granularity 2 regions: each block is 110 on both.
+    EXPECT_EQ(freeOracle(a, b, 2), 220u);
+    // Whole-run granularity: min(220, 220).
+    EXPECT_EQ(freeOracle(a, b, 4), 220u);
+}
+
+TEST(Migration, FreeOracleHandlesUnequalLengths)
+{
+    std::vector<TimePs> a{TimePs{10}, TimePs{10}, TimePs{10}};
+    std::vector<TimePs> b{TimePs{5}, TimePs{5}};
+    EXPECT_EQ(freeOracle(a, b, 1), 10u);
 }
 
 TEST(Migration, PenaltyMakesSwitchingUnprofitable)
@@ -83,92 +110,6 @@ TEST(Migration, CoarserBlocksReduceOpportunity)
     auto c = simulateMigration(ra.regions->series(),
                                rb.regions->series(), coarse);
     EXPECT_LE(f.totalPs, c.totalPs);
-}
-
-TEST(Interrupts, ReforkCompletesCorrectly)
-{
-    auto trace = makeBenchmarkTrace("gcc", 3, 30000);
-    ContestConfig cfg;
-    cfg.interruptPeriodPs = TimePs{3'000'000};  // 3 us
-    cfg.interruptHandlerPs = TimePs{200'000};   // 200 ns
-    ContestSystem sys({coreConfigByName("twolf"),
-                       coreConfigByName("gzip")},
-                      trace, cfg);
-    auto r = sys.run();
-    EXPECT_GT(r.interruptsHandled, 0u);
-    EXPECT_EQ(std::max(r.coreStats[0].retired,
-                       r.coreStats[1].retired),
-              trace->size());
-    EXPECT_NEAR(r.leadFraction[0] + r.leadFraction[1], 1.0, 1e-9);
-}
-
-TEST(Interrupts, CostPerformance)
-{
-    auto trace = makeBenchmarkTrace("twolf", 5, 30000);
-    auto run_with = [&](TimePs period) {
-        ContestConfig cfg;
-        cfg.interruptPeriodPs = period;
-        cfg.interruptHandlerPs = TimePs{200'000};
-        ContestSystem sys({coreConfigByName("twolf"),
-                           coreConfigByName("vpr")},
-                          trace, cfg);
-        return sys.run();
-    };
-    auto frequent = run_with(TimePs{1'000'000});
-    auto none = run_with(TimePs{});
-    EXPECT_GT(frequent.interruptsHandled, none.interruptsHandled);
-    EXPECT_LT(frequent.ipt, none.ipt);
-}
-
-TEST(Interrupts, DeterministicWithRefork)
-{
-    auto trace = makeBenchmarkTrace("parser", 7, 20000);
-    auto run_once = [&]() {
-        ContestConfig cfg;
-        cfg.interruptPeriodPs = TimePs{2'000'000};
-        ContestSystem sys({coreConfigByName("parser"),
-                           coreConfigByName("gzip")},
-                          trace, cfg);
-        return sys.run();
-    };
-    auto r1 = run_once();
-    auto r2 = run_once();
-    EXPECT_EQ(r1.timePs, r2.timePs);
-    EXPECT_EQ(r1.interruptsHandled, r2.interruptsHandled);
-}
-
-TEST(Interrupts, RejectsPeriodShorterThanHandler)
-{
-    // Re-exec instead of fork: the Runner above started the
-    // process-wide thread pool, and forking a threaded process
-    // crashes in the child after the expected fatal fires.
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    auto trace = makeBenchmarkTrace("vpr", 9, 2000);
-    ContestConfig cfg;
-    cfg.interruptPeriodPs = TimePs{100};
-    cfg.interruptHandlerPs = TimePs{200};
-    EXPECT_EXIT(ContestSystem({coreConfigByName("vpr")}, trace, cfg),
-                ::testing::ExitedWithCode(1), "interrupt period");
-}
-
-TEST(Interrupts, CoreReforkResetsPipelineState)
-{
-    // Direct core-level check: refork mid-run, then finish.
-    auto trace = makeBenchmarkTrace("gcc", 13, 5000);
-    OooCore core(coreConfigByName("twolf"), trace);
-    TimePs now{};
-    while (core.retired() < 1000) {
-        core.tick(now);
-        now += core.periodPs();
-    }
-    core.reforkTo(InstSeq{500});
-    EXPECT_EQ(core.retired(), 500u);
-    EXPECT_EQ(core.nextFetchSeq(), 500u);
-    while (!core.done()) {
-        core.tick(now);
-        now += core.periodPs();
-    }
-    EXPECT_EQ(core.retired(), trace->size());
 }
 
 } // namespace

@@ -179,9 +179,9 @@ TEST(TimingMonotonicity, BiggerL1CapturesBiggerFootprints)
     auto trace = gen.generate(30000);
 
     CoreConfig small;
-    small.l1d = CacheConfig{64, 2, 64, Cycles{2}, false, true}; // 8KB
+    small.l1d = CacheConfig{64, 2, 64, Cycles{2}, false}; // 8KB
     CoreConfig big = small;
-    big.l1d = CacheConfig{1024, 2, 64, Cycles{2}, false, true}; // 128KB
+    big.l1d = CacheConfig{1024, 2, 64, Cycles{2}, false}; // 128KB
     EXPECT_GT(runSingle(big, trace).ipt,
               runSingle(small, trace).ipt * 1.1);
 }

@@ -59,14 +59,14 @@ TEST(ResultCacheKey, BytesArePinned)
     // misses, so pin one key of each kind in full.
     const std::string gccCore =
         "core=gcc;memlat=186;fed=7;width=4;rob=256;iq=32;wakeup=1;"
-        "sched=2;clock=310;l1d=32768/1/8/4/0/1;l2=1024/8/64/6/0/1;"
+        "sched=2;clock=310;l1d=32768/1/8/4/0;l2=1024/8/64/6/0;"
         "lsq=256;l1dports=2;mshrs=8;bw=16;btbmiss=2;syscall=64;"
-        "bpred=3/13/12/10/10;btb=512/4;icache=0;l1i=512/2/64/1/0/1;";
+        "bpred=13/12/10/10;btb=512/4;icache=0;l1i=512/2/64/1/0;";
     const std::string twolfCore =
         "core=twolf;memlat=172;fed=6;width=5;rob=512;iq=64;wakeup=1;"
-        "sched=2;clock=330;l1d=128/8/64/3/0/1;l2=2048/4/128/12/0/1;"
+        "sched=2;clock=330;l1d=128/8/64/3/0;l2=2048/4/128/12/0;"
         "lsq=256;l1dports=3;mshrs=8;bw=16;btbmiss=2;syscall=64;"
-        "bpred=3/13/12/10/10;btb=512/4;icache=0;l1i=512/2/64/1/0/1;";
+        "bpred=13/12/10/10;btb=512/4;icache=0;l1i=512/2/64/1/0;";
     EXPECT_EQ(ResultCache::singleRunKey(coreConfigByName("gcc"), "gcc",
                                         2009, 40000),
               "bench=gcc;seed=2009;len=40000;" + gccCore);
@@ -75,8 +75,8 @@ TEST(ResultCacheKey, BytesArePinned)
                   {coreConfigByName("gcc"), coreConfigByName("twolf")},
                   ContestConfig{}, 2009, 40000),
               "contest;bench=gcc;seed=2009;len=40000;grb=1000;"
-              "fifo=8192;sq=4096;inj=0;early=1;park=1;exc=20000;intp=0;"
-              "inth=500000;wd=40000000;ncores=2;[0]"
+              "fifo=8192;sq=4096;inj=0;early=1;park=1;exc=20000;"
+              "wd=40000000;ncores=2;[0]"
                   + gccCore + "[1]" + twolfCore);
 }
 

@@ -5,8 +5,8 @@
  * the per-cycle reference mode (CONTEST_NO_SKIP=1) — timings, every
  * pipeline counter, energy numbers, lead fractions, the Runner's
  * region series. A seed sweep over single-core runs and contests
- * (including a parking pair, a drop-oldest pair and an
- * interrupt-driven refork config) pins that equivalence down.
+ * (including a parking pair and a drop-oldest pair) pins that
+ * equivalence down.
  */
 
 #include <gtest/gtest.h>
@@ -83,7 +83,6 @@ expectSameContest(const ContestResult &a, const ContestResult &b,
     EXPECT_EQ(a.leadChanges, b.leadChanges) << what;
     EXPECT_EQ(a.mergedStores, b.mergedStores) << what;
     EXPECT_EQ(a.exceptionsHandled, b.exceptionsHandled) << what;
-    EXPECT_EQ(a.interruptsHandled, b.interruptsHandled) << what;
     ASSERT_EQ(a.coreStats.size(), b.coreStats.size()) << what;
     for (std::size_t c = 0; c < a.coreStats.size(); ++c) {
         expectSameStats(a.coreStats[c], b.coreStats[c], what);
@@ -274,26 +273,6 @@ TEST(SkipEquivalence, DropOldestPair)
     auto fast = withSkipMode(false, run);
     auto ref = withSkipMode(true, run);
     expectSameContest(fast, ref, "drop-oldest pair");
-}
-
-TEST(SkipEquivalence, InterruptRefork)
-{
-    // Interrupts bound every skip window (the service edge must be
-    // picked live); the terminate-and-refork path must land on the
-    // same refork positions in both modes.
-    auto trace = makeBenchmarkTrace("gcc", 2009, 20000);
-    auto run = [&] {
-        ContestConfig cfg;
-        cfg.interruptPeriodPs = TimePs{3'000'000};
-        ContestSystem sys({coreConfigByName("twolf"),
-                           coreConfigByName("gzip")},
-                          trace, cfg);
-        return sys.run();
-    };
-    auto fast = withSkipMode(false, run);
-    auto ref = withSkipMode(true, run);
-    EXPECT_GT(fast.interruptsHandled, 0u);
-    expectSameContest(fast, ref, "interrupt refork");
 }
 
 TEST(SkipEquivalence, ThreeWayContest)
